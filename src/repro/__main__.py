@@ -108,10 +108,15 @@ def cmd_profile(args):
     attack.  Experiments without launch cells fall back to a full run.
     ``--hot`` also prints the cell simulator's timing-wheel statistics
     (max bucket occupancy, spill re-bucketing count, cancelled-timer
-    compactions, ...) after the profile listing.
+    compactions, ...) after the profile listing.  Both modes print the
+    cyclic collector's time and collection counts per generation
+    (:class:`~repro.obs.runtime.CollectorMeter`).
     """
     import cProfile
     import pstats
+    import time
+
+    from repro.obs.runtime import CollectorMeter
 
     experiment = get_experiment(args.experiment)
     experiment.configure(
@@ -146,12 +151,20 @@ def cmd_profile(args):
                            jobs=1, use_cache=False)
 
     profiler = cProfile.Profile()
-    profiler.enable()
-    target()
-    profiler.disable()
+    with CollectorMeter() as collector:
+        began = time.perf_counter()
+        profiler.enable()
+        target()
+        profiler.disable()
+        wall_s = time.perf_counter() - began
     print(f"profile of {target_label}, top {args.top} by cumulative time:")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
+    # The profile charges collector time to whatever frame allocated
+    # when a collection fired; report it on its own.
+    print("cyclic garbage collector during the profiled run:")
+    for line in collector.lines(wall_s):
+        print(line)
     if args.hot:
         from repro.experiments import parallel
 

@@ -15,9 +15,13 @@ afterwards, so the representation stays compact under page-granular
 traffic (EPT faults, ROM loads).
 
 The per-page view — :class:`Page` — is preserved as the unit the rest
-of the kernel model speaks: a small identity-stable handle that resolves
-its state through the owning region's run list.  Every security check
-still happens at page granularity:
+of the kernel model speaks: a small handle that resolves its state
+through the owning region's run list.  View identity holds while the
+region is allocated: the region caches each view it hands out.
+:meth:`PhysicalMemory.free` drops that cache, because a view points
+back at its region and the pair would otherwise be a reference cycle
+that only the cyclic garbage collector could free.  Every security
+check still happens at page granularity:
 
 * ``content`` — :data:`PageContent.RESIDUAL` (stale data from a prior
   tenant), :data:`PageContent.ZERO`, or :data:`PageContent.DATA` with a
@@ -142,11 +146,11 @@ class PageRun:
 class Page:
     """One physical page frame, as a view into run-length state.
 
-    A ``Page`` is an identity-stable handle (``region.pages[i] is
-    region.pages[i]`` always holds, as does ``memory.page_at(hpa)``
-    identity) whose state lives in the owning store's :class:`PageRun`
-    list.  A page constructed standalone carries its own private
-    single-page run.
+    While its region is allocated a ``Page`` is an identity-stable
+    handle (``region.pages[i] is region.pages[i]`` holds, as does
+    ``memory.page_at(hpa)`` identity) whose state lives in the owning
+    store's :class:`PageRun` list.  A page constructed standalone
+    carries its own private single-page run.
 
     Attributes:
         hpa: Host physical address of the frame (aligned to ``size``).
@@ -233,12 +237,33 @@ class Page:
         )
 
 
+class _FreedViews:
+    """The view cache of a freed region: it keeps nothing.
+
+    A view made after the free (a late access through a stale mapping)
+    still resolves, but is not cached, so it never points back into a
+    region -> view -> region cycle.
+    """
+
+    __slots__ = ()
+
+    def get(self, hpa):
+        return None
+
+    def __setitem__(self, hpa, view):
+        pass
+
+
+_FREED_VIEWS = _FreedViews()
+
+
 class AllocatedRegion:
     """A set of page frames backing one memory region.
 
     Frame state is held as a sorted list of :class:`PageRun` spans;
-    :class:`Page` views are materialized lazily (and cached, so view
-    identity is stable) only for consumers that need per-page handles.
+    :class:`Page` views are materialized lazily (and cached until the
+    region is freed, so view identity is stable) only for consumers that
+    need per-page handles.
     Bulk mutators (:meth:`write_index_span`, :meth:`zero_hpa_span`,
     :meth:`pin_all`, ...) operate on whole runs.
 
@@ -272,8 +297,9 @@ class AllocatedRegion:
         for start, end in self._batch_spans:
             self._batch_index_base.append(base)
             base += (end - start) // self.page_size
+        #: hpa -> cached :class:`Page` view; :data:`_FREED_VIEWS` once
+        #: the region is freed.
         self._views = {}
-        self._pages_cache = None
 
     # ------------------------------------------------------------------
     # shape queries
@@ -294,11 +320,7 @@ class AllocatedRegion:
     @property
     def pages(self):
         """All frames as :class:`Page` views, in address order."""
-        if self._pages_cache is None or len(self._pages_cache) != self.page_count:
-            self._pages_cache = [
-                self.page_at_index(i) for i in range(self.page_count)
-            ]
-        return self._pages_cache
+        return [self.page_at_index(i) for i in range(self.page_count)]
 
     @property
     def batches(self):
@@ -450,6 +472,11 @@ class AllocatedRegion:
                 hpa = limit
                 i += 1
         return tags
+
+    def zero_page(self, hpa):
+        """ZERO-fill the frame at ``hpa`` without materializing its view
+        (exactly :meth:`Page.zero` on that view)."""
+        self._set_content(hpa, PageContent.ZERO, None)
 
     def zero_hpa_span(self, start, end):
         """ZERO-fill the frames in [start, end) (one contiguous stretch)."""
@@ -749,6 +776,9 @@ class PhysicalMemory:
                     f"freeing pinned page {run.hpa:#x} (owner {region.owner!r})"
                 )
         del self._regions[region.region_id]
+        # Views point back at their region: dropping the region's side
+        # of that cycle lets a freed region go by refcount.
+        region._views = _FREED_VIEWS
         for run in region._runs:
             if run.content is PageContent.ZERO:
                 self._free_state.insert(run.hpa, run.end, "zero", None)

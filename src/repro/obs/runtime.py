@@ -45,6 +45,7 @@ sync (sub-millisecond on one machine, which is all the dual-clock
 trace needs).
 """
 
+import gc
 import os
 import time
 from collections import deque
@@ -118,6 +119,54 @@ class WireStats:
             "tx": {tag: list(entry) for tag, entry in self.tx.items()},
             "rx": {tag: list(entry) for tag, entry in self.rx.items()},
         }
+
+
+class CollectorMeter:
+    """Wall time and collection counts of CPython's cyclic collector.
+
+    A context manager hooked into ``gc.callbacks``: while entered it
+    counts collections, their seconds and the objects they freed, per
+    generation.  A profiler charges collector time to whichever frame
+    happened to allocate when a collection fired, so without this meter
+    it hides inside allocation sites.
+    """
+
+    def __init__(self):
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self.collected = [0, 0, 0]
+        self._began = 0.0
+
+    def _callback(self, phase, info):
+        if phase == "start":
+            self._began = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._began
+        self.collected[generation] += info["collected"]
+
+    def __enter__(self):
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc_info):
+        gc.callbacks.remove(self._callback)
+
+    def lines(self, wall_s):
+        """Report lines: one per generation, then the total as a share
+        of ``wall_s``."""
+        rows = [
+            f"  gen{generation}  {count:6d} collections  {seconds:8.3f} s"
+            f"  {collected:9d} objects freed"
+            for generation, (count, seconds, collected) in enumerate(
+                zip(self.collections, self.seconds, self.collected))
+        ]
+        total = sum(self.seconds)
+        share = total / wall_s if wall_s else 0.0
+        rows.append(f"  total {sum(self.collections):6d} collections  "
+                    f"{total:8.3f} s  ({share:.1%} of {wall_s:.3f} s wall)")
+        return rows
 
 
 class RuntimeProbe:

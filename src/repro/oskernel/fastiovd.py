@@ -180,7 +180,10 @@ class Fastiovd:
         #: (set by Host._wire_trace when tracing is on).
         self.probe_owner = None
         self._pending = {}  # pid -> _SpanTable (payload: AllocatedRegion)
-        self._inflight = {}  # (pid, hpa) -> SimEvent (claimed pages)
+        #: (pid, hpa) -> completion SimEvent of a claimed page, or None
+        #: until something waits on it (most claims are never waited on,
+        #: so the event is made on first ask).
+        self._inflight = {}
         self._instant = {}  # pid -> set of hpas on the instant list
         self.stats = FastiovdStats()
         self._scanner_enabled = start_scanner
@@ -283,7 +286,23 @@ class Fastiovd:
     # queries
     # ------------------------------------------------------------------
     def _inflight_event(self, pid, hpa):
-        return self._inflight.get((pid, hpa))
+        """The completion event of a claimed page (made on first ask), or
+        None when the page is not being zeroed."""
+        key = (pid, hpa)
+        inflight = self._inflight
+        if key not in inflight:
+            return None
+        event = inflight[key]
+        if event is None:
+            event = inflight[key] = SimEvent(
+                self._sim, name=f"zeroing-{pid}-{hpa:#x}")
+        return event
+
+    def _release_claim(self, key):
+        """A claimed page is zeroed: wake whoever waited on it."""
+        event = self._inflight.pop(key)
+        if event is not None:
+            event.trigger()
 
     def manages(self, pid, page):
         table = self._pending.get(pid)
@@ -326,15 +345,13 @@ class Fastiovd:
         if not table:
             self._pending.pop(pid, None)
         key = (pid, page.hpa)
-        event = SimEvent(self._sim, name=f"zeroing-{pid}-{page.hpa:#x}")
-        self._inflight[key] = event
+        self._inflight[key] = None
         # Fault-path zeroing is cache-adjacent to the guest's first use
         # and much cheaper than a bulk clear — but it still shares the
         # memory controller with the background scanner's bulk work.
         yield self._dram.work(self._spec.fault_zeroing_cpu_seconds(page.size))
         page.zero()
-        del self._inflight[key]
-        event.trigger()
+        self._release_claim(key)
         self.stats.fault_zeroed_pages += 1
 
     # ------------------------------------------------------------------
@@ -390,12 +407,16 @@ class Fastiovd:
         """Claim up to a chunk of pending pages, oldest microVM first.
 
         The pending *table* is span-granular, but the scanner's claims
-        are per page (with a per-page in-flight event): a chunk is at
+        are per page (with a per-page in-flight entry): a chunk is at
         most ``budget_bytes``, so the expansion is small and bounded,
         and a racing EPT fault waits only for its own page's zeroing.
+        A claim names its page by address, never by a cached
+        :class:`~repro.hw.memory.Page` view, so scanning materializes no
+        per-page object that would outlive the zeroing.
         """
         claimed = []
         budget = budget_bytes
+        inflight = self._inflight
         for pid in list(self._pending):
             if budget <= 0:
                 break
@@ -404,9 +425,8 @@ class Fastiovd:
                 budget -= end - start
                 for hpa in range(start, end, region.page_size):
                     key = (pid, hpa)
-                    event = SimEvent(self._sim, name=f"zeroing-{pid}-{hpa:#x}")
-                    self._inflight[key] = event
-                    claimed.append((key, region.page_view(hpa), event))
+                    inflight[key] = None
+                    claimed.append((key, region))
             if not table:
                 self._pending.pop(pid, None)
         return claimed
@@ -415,11 +435,11 @@ class Fastiovd:
         trace = self._sim.trace
         if trace is not None:
             trace.begin(trace.current_track(), "zero-share")
-        for key, page, event in share:
-            yield self._dram.work(self._spec.zeroing_cpu_seconds(page.size))
-            page.zero()
-            del self._inflight[key]
-            event.trigger()
+        for key, region in share:
+            yield self._dram.work(
+                self._spec.zeroing_cpu_seconds(region.page_size))
+            region.zero_page(key[1])
+            self._release_claim(key)
             self.stats.background_zeroed_pages += 1
 
     def __repr__(self):

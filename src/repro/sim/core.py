@@ -275,6 +275,10 @@ class Timer:
         return f"<Timer {state}>"
 
 
+def _finished_resume(value):
+    """``_on_resume`` of a finished process: resuming it does nothing."""
+
+
 class Process:
     """A running simulated process.
 
@@ -300,6 +304,7 @@ class Process:
         "_blocked_on",
         "_started_at",
         "_on_resume",
+        "__weakref__",
     )
 
     def __init__(self, sim, generator, name, daemon=False):
@@ -376,9 +381,16 @@ class Process:
     def _finish(self, result):
         self.finished = True
         self.result = result
+        # Break the process's self-references (the generator frame and
+        # the cached bound method) so it is freed by refcount the moment
+        # its last scheduler reference goes.  Callbacks already queued
+        # hold the old bound method, whose ``finished`` check makes them
+        # no-ops, exactly as the no-op rebinding does for new ones.
+        self._gen = None
+        self._on_resume = _finished_resume
         sim = self._sim
         if not self.daemon:
-            sim._live_processes -= 1
+            del sim._live[self]
         if sim.trace is not None:
             sim.trace.process_finished(self)
         ready = sim._ready
@@ -409,8 +421,8 @@ class Simulator:
         "now",
         "_ready",
         "_seq",
-        "_processes",
-        "_live_processes",
+        "_spawned",
+        "_live",
         "_current",
         "_failure",
         "events_dispatched",
@@ -451,8 +463,13 @@ class Simulator:
         self.now = 0.0
         self._ready = deque()
         self._seq = 0
-        self._processes = []
-        self._live_processes = 0
+        #: Processes ever spawned (the ``proc-N`` default-name counter).
+        self._spawned = 0
+        #: Live non-daemon processes in spawn order (a dict used as an
+        #: ordered set): ``run`` returns once it is empty, and the
+        #: deadlock diagnostic lists it.  A process leaves it in
+        #: ``_finish``, so the simulator keeps no finished process.
+        self._live = {}
         self._current = None
         self._failure = None
         #: Total events executed, for engine throughput reporting.
@@ -571,11 +588,11 @@ class Simulator:
         current time, so the caller's own step finishes first.
         """
         if name is None:
-            name = f"proc-{len(self._processes)}"
+            name = f"proc-{self._spawned}"
+        self._spawned += 1
         process = Process(self, generator, name, daemon=daemon)
-        self._processes.append(process)
         if not daemon:
-            self._live_processes += 1
+            self._live[process] = None
         if self.trace is not None:
             self.trace.process_spawned(process)
         self._ready.append((process._on_resume, (None,)))
@@ -1033,7 +1050,7 @@ class Simulator:
             "future_live": self._future_live,
             "cancelled_unreaped": self._cancelled_unreaped,
             "phantom_parked": self._phantom_parked,
-            "live_processes": self._live_processes,
+            "live": dict(self._live),
             "events_dispatched": self.events_dispatched,
             "timers_cancelled": self._timers_cancelled,
             "compactions": self._compactions,
@@ -1074,7 +1091,7 @@ class Simulator:
         self._future_live = snap["future_live"]
         self._cancelled_unreaped = snap["cancelled_unreaped"]
         self._phantom_parked = snap["phantom_parked"]
-        self._live_processes = snap["live_processes"]
+        self._live = dict(snap["live"])
         self.events_dispatched = snap["events_dispatched"]
         self._timers_cancelled = snap["timers_cancelled"]
         self._compactions = snap["compactions"]
@@ -1122,12 +1139,13 @@ class Simulator:
         """
         ready = self._ready
         popleft = ready.popleft
+        live = self._live
         dispatched = 0
         no_horizon = until is None
         while True:
             if self._failure is not None:
                 break
-            if self._live_processes == 0 and no_horizon:
+            if no_horizon and not live:
                 break
             if ready:
                 callback, args = popleft()
@@ -1156,10 +1174,8 @@ class Simulator:
             failure, cause = self._failure
             self._failure = None
             raise failure from cause
-        if no_horizon and self._live_processes > 0:
-            blocked = [
-                p for p in self._processes if not p.finished and not p.daemon
-            ]
+        if no_horizon and live:
+            blocked = list(live)
             names = ", ".join(
                 f"{p.name} (on {p._blocked_on!r})" for p in blocked[:10]
             )

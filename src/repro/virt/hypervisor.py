@@ -277,6 +277,11 @@ class Hypervisor:
             self._vfio.destroy_domain(microvm.name)
         self._kvm.destroy_vm(microvm.vm)
         microvm.destroyed = True
+        # The guest kernel and virtioFS point back at the microVM; drop
+        # the microVM's side so a recycled sandbox is freed by refcount.
+        # (An asynchronous VF init still running holds its guest.)
+        microvm.guest = None
+        microvm.virtiofs = None
 
     def __repr__(self):
         return f"<Hypervisor vms_created={self.vms_created}>"

@@ -586,3 +586,76 @@ def test_join_command_repr_mentions_target():
     proc = sim.spawn(child(), name="target")
     assert "target" in repr(Join(proc))
     sim.run()
+
+
+def test_finished_process_is_freed_by_refcount():
+    """A finished process is reachable from nothing in its Simulator, and
+    holds no cycle of its own: dropping the caller's reference frees it
+    without a cyclic collection."""
+    import gc
+    import weakref
+
+    sim = Simulator()
+
+    def child():
+        yield Timeout(1.0)
+        return "done"
+
+    proc = sim.spawn(child(), name="child")
+    ref = weakref.ref(proc)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.run()
+        assert proc.finished and proc.result == "done"
+        del proc
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_default_process_names_count_every_spawn():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(0.0)
+
+    first = sim.spawn(proc())
+    sim.spawn(proc(), name="named")
+    daemon = sim.spawn(proc(), daemon=True)
+    sim.run()
+    # Finished, named and daemon processes all advance the counter.
+    later = sim.spawn(proc())
+    assert [first.name, daemon.name, later.name] == [
+        "proc-0", "proc-2", "proc-3"]
+
+
+def test_deadlock_lists_blocked_processes_in_spawn_order():
+    from repro.sim import SimEvent
+
+    sim = Simulator()
+    wait = SimEvent(sim, name="never").wait()
+
+    def stuck():
+        yield wait
+
+    def quick():
+        yield Timeout(0.5)
+
+    def late():
+        yield Timeout(1.0)
+        yield wait
+
+    sim.spawn(stuck(), name="stuck-a")
+    sim.spawn(quick(), name="quick")
+    sim.spawn(stuck(), name="ghost", daemon=True)
+    sim.spawn(late(), name="stuck-b")
+    sim.spawn(stuck(), name="stuck-c")
+    with pytest.raises(SimulationDeadlock) as excinfo:
+        sim.run()
+    message = str(excinfo.value)
+    assert message == (
+        "3 process(es) blocked with no pending events: "
+        f"stuck-a (on {wait}), stuck-b (on {wait}), stuck-c (on {wait})"
+    )

@@ -25,6 +25,7 @@ from repro.obs.export import to_dual_clock_trace, write_dual_clock_trace
 from repro.obs.live import LiveView, _fmt_bytes, _fmt_eta, render
 from repro.obs.runtime import (
     MAX_PENDING_INSTANTS,
+    CollectorMeter,
     MAX_PENDING_SPANS,
     PHASES,
     RecordBuffer,
@@ -122,6 +123,24 @@ def test_wire_stats_accounting():
     snap = stats.snapshot()
     assert snap["tx"] == {"S": [2, 40]}
     assert snap["rx"] == {"L": [1, 7]}
+
+
+def test_collector_meter_counts_collections_per_generation():
+    import gc
+
+    with CollectorMeter() as meter:
+        cycle = []
+        cycle.append(cycle)
+        del cycle
+        gc.collect()
+    assert meter._callback not in gc.callbacks
+    assert meter.collections[2] >= 1
+    assert meter.collected[2] >= 1
+    assert meter.seconds[2] >= 0.0
+    lines = meter.lines(1.0)
+    assert [line.split()[0] for line in lines] == [
+        "gen0", "gen1", "gen2", "total"]
+    assert "of 1.000 s wall" in lines[-1]
 
 
 def test_record_buffer_drains():
