@@ -1,13 +1,10 @@
 """Wall-clock performance report for the simulator fast path.
 
 Times a fixed set of experiments end-to-end (quick scale, cache off) —
-including the quick scale experiment re-run over 4 cluster shards, a
-spread-arrival sharded pair timed under both sync protocols
-(``scale_conservative4`` / ``scale_optimistic4``, gated against each
-other: optimistic must never bench slower than conservative), and the
-same spread cell at 8 shards under hierarchical sync
-(``scale_hier8``: relay tree + digest replies + pipelined
-coordinator, riding the baseline ratio gate) —
+including the quick scale experiment re-run over 4 cluster shards and
+a spread-arrival sharded cell at 4 and 8 shards (``scale_spread4`` /
+``scale_spread8``: the lockstep epoch protocol over a flat star of
+worker processes, riding the baseline ratio gate) —
 measures raw event-engine throughput with three synthetic storms (a
 dispatch-heavy mix, a timer-dense churn shape also run against the
 retained heap scheduler, and an idle-daemon tick storm run with and
@@ -46,22 +43,13 @@ heavy cluster cell (48 hosts, 2000 startups) timed single-process and at
 8 shards/8 worker processes, with the two summaries asserted identical.
 It needs the cores to show a speedup, so it is reported, not gated.
 
-``--optimistic-smoke`` runs a 100,000-host spread-arrival cell to
-completion under hierarchical sync (optimistic workers behind the
-pipelined digest-reply coordinator) and records its wall-clock,
-rollback counters, speculation commit rate,
-replayed-events-per-rollback, and the coordinator occupancy figures
-(wait/place/reduce seconds, placement heap ops) — the scale headline
-of the speculative runner (reported; takes minutes at the default
+``--smoke`` runs a 100,000-host spread-arrival cell to completion and
+records its wall-clock, step count and the coordinator occupancy
+figures (wait/place/reduce seconds, placement heap ops) — the scale
+headline of the sharded runner (reported; takes minutes at the default
 size, rescalable with ``--smoke-hosts`` / ``--smoke-concurrent`` up to
 the 1,000,000-host headline run, and gated by wall clock only when
 ``--smoke-ceiling-s`` is set, as the weekly CI leg does).
-
-The default report also times one adversarial rollback storm twice —
-with fork checkpoints and with ``checkpoint_every=0`` — and records
-the replayed-events-per-rollback of each (``checkpoint_rollback`` in
-the report): the O(Δ) vs O(history) rollback-cost figure of the
-checkpoint subsystem.
 """
 
 import argparse
@@ -86,14 +74,13 @@ EXPERIMENTS = ("fig1", "fig11", "fig13c", "scale")
 #: Shard count for the gated sharded quick-scale timing.
 GATE_SHARDS = 4
 
-#: Shard count for the gated hierarchical-sync timing: 8 shards under
-#: the default relay fan-in of 4 is the smallest cell that actually
-#: builds a two-level relay tree (2 relays x 4 workers).
-HIER_SHARDS = 8
+#: Shard count of the wider gated spread-arrival timing: 8 workers in
+#: a flat star, twice the coordinator fan-out of the 4-shard cell.
+WIDE_SHARDS = 8
 
-#: Arrival rate for the sync-protocol timings: spread arrivals drive
+#: Arrival rate for the spread-arrival timings: spread arrivals drive
 #: the epoch protocol (a burst places everything in epoch 0 and never
-#: exercises the barriers the sync modes differ on).
+#: exercises the per-epoch steps).
 GATE_RATE = 150.0
 
 
@@ -308,75 +295,27 @@ def measure(experiment_ids, jobs=None, repeats=2):
     overhead = timings[label] / timings[f"scale_shards{GATE_SHARDS}"] - 1.0
     print(f"{label:14s} {timings[label]:8.3f} s  "
           f"(probe overhead {overhead * 100:+5.1f}%)")
-    # The sync-protocol pair: the same spread-arrival sharded quick
-    # scale run under both barrier protocols.  Each rides the baseline
-    # ratio gate, and --check additionally asserts optimistic never
-    # benches slower than conservative (see check()).
-    for mode in ("conservative", "optimistic"):
-        label = f"scale_{mode}{GATE_SHARDS}"
+    # The same quick scale run with spread arrivals, at 4 and 8 shards:
+    # one step per epoch that has arrivals, over a flat star of 4 or 8
+    # workers.  Both ride the baseline ratio gate, so a regression in
+    # per-step protocol overhead fails CI even on runners where sharding
+    # cannot be faster than single-process.
+    for shards in (GATE_SHARDS, WIDE_SHARDS):
+        label = f"scale_spread{shards}"
         timings[label] = _timed_run(
-            lambda mode=mode: get_experiment("scale").configure(
-                shards=GATE_SHARDS, rate=GATE_RATE, sync=mode,
+            lambda shards=shards: get_experiment("scale").configure(
+                shards=shards, rate=GATE_RATE,
             ),
             jobs, repeats,
         )
         print(f"{label:14s} {timings[label]:8.3f} s")
-    # The hierarchical coordinator at 8 shards: the same spread cell
-    # through the full relay-tree / digest-reply / pipelined path.  It
-    # rides the baseline ratio gate, so a regression in relay fan-out
-    # or pipelining overhead fails CI even on single-core runners.
-    label = f"scale_hier{HIER_SHARDS}"
-    timings[label] = _timed_run(
-        lambda: get_experiment("scale").configure(
-            shards=HIER_SHARDS, rate=GATE_RATE, sync="hierarchical",
-        ),
-        jobs, repeats,
-    )
-    print(f"{label:14s} {timings[label]:8.3f} s")
     return timings
 
 
-def measure_optimistic_stats(preset="fastiov", concurrency=40, hosts=4,
-                             rate=12.0, shards=2, seed=2):
-    """Rollback/speculation counters of one spread optimistic cell.
-
-    Runs in-process (workers=0), where speculation is eager and the
-    counters are deterministic — so the BENCH numbers trend cleanly
-    across runs instead of following worker-scheduling noise.  Besides
-    the speculation counters this exports the coordinator-side figures
-    of the hierarchical work: ``placement_heap_ops`` (heap operations
-    of the incremental least-loaded tracker — deterministic) and
-    ``coordinator_wait_s`` (wall-clock the coordinator spent blocked on
-    shard replies — trend-only, like every timing here).
-    """
-    from repro.cluster.churn import cluster_arrivals
-    from repro.cluster.sharded import run_sharded_cluster
-
-    stats = {}
-    run_sharded_cluster(
-        preset, concurrency, hosts=hosts, seed=seed, shards=shards,
-        workers=0, arrivals=cluster_arrivals(seed, rate),
-        sync="optimistic", engine_stats=stats,
-    )
-    counters = {
-        key: stats[f"sync_{key}"]
-        for key in ("epochs", "rollbacks", "speculated_events",
-                    "replayed_events", "speculation_commits",
-                    "throttled_shards", "placement_heap_ops")
-    }
-    counters["coordinator_wait_s"] = round(
-        stats["sync_coordinator_wait_s"], 4
-    )
-    return counters
-
-
-def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
-                             shards=4, seed=0, sync="hierarchical",
-                             ceiling_s=None, live=False):
-    """Completion smoke: a 100k-host-and-up cell under the speculative
-    protocol (hierarchical by default: optimistic workers behind the
-    pipelined digest-reply coordinator — the configuration that has to
-    carry the 1M-host target).
+def measure_smoke(hosts=100000, concurrency=5000, rate=500.0, shards=4,
+                  seed=0, ceiling_s=None, live=False):
+    """Completion smoke: a 100k-host-and-up spread-arrival cell over
+    ``shards`` worker processes.
 
     The cell is sized for feasibility, not realism: 2 VFs per host
     instead of the NIC's 256 (the pool dominates per-host memory) and
@@ -384,7 +323,7 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
     (``0.5 s * max(1, hosts // 100000)`` — at 0.004 s, 100k mostly-idle
     hosts would spend the whole run ticking).  What it proves: the
     protocol drives a cluster three-plus orders of magnitude past the
-    paper testbed to completion, with the rollback counters and the
+    paper testbed to completion, with the step count and the
     coordinator-occupancy figures (wait/place/reduce seconds, heap
     ops) exported.  ``--smoke-hosts`` / ``--smoke-concurrent`` rescale
     the cell (the default takes minutes; a 10k/500 smoke fits a coffee
@@ -410,8 +349,7 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
         return run_sharded_cluster(
             "fastiov", concurrency, hosts=hosts, seed=seed, shards=shards,
             vf_count=2, spec=spec, arrivals=cluster_arrivals(seed, rate),
-            sync=sync, engine_stats=stats,
-            telemetry={} if live else None,
+            engine_stats=stats, telemetry={} if live else None,
         )
 
     started = time.perf_counter()
@@ -428,106 +366,25 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
     elapsed = time.perf_counter() - started
     assert summary["count"] == concurrency, "smoke cell lost containers"
     counters = {
-        key: stats[f"sync_{key}"]
-        for key in ("epochs", "rollbacks", "speculated_events",
-                    "replayed_events", "speculation_commits",
-                    "throttled_shards", "checkpoints",
-                    "checkpoint_resumes", "full_replays",
-                    "placement_heap_ops")
+        "epochs": stats["sync_epochs"],
+        "placement_heap_ops": stats["sync_placement_heap_ops"],
     }
     for key in ("coordinator_wait_s", "coordinator_place_s",
                 "coordinator_reduce_s"):
         counters[key] = round(stats[f"sync_{key}"], 4)
     print(f"{'smoke':14s} {elapsed:8.3f} s  "
-          f"({hosts} hosts, {concurrency} containers, {sync} sync, "
-          f"rollbacks={counters['rollbacks']}, "
-          f"checkpoints={counters['checkpoints']})")
+          f"({hosts} hosts, {concurrency} containers, "
+          f"{counters['epochs']} steps)")
     print(f"{'  coordinator':14s} wait {counters['coordinator_wait_s']:.3f} s  "
           f"place {counters['coordinator_place_s']:.3f} s  "
           f"reduce {counters['coordinator_reduce_s']:.3f} s  "
           f"heap-ops {counters['placement_heap_ops']:,}")
-    commits = counters["speculation_commits"]
-    attempts = commits + counters["rollbacks"]
-    commit_rate = commits / attempts if attempts else 1.0
-    replayed_per_rollback = (
-        counters["replayed_events"] / counters["rollbacks"]
-        if counters["rollbacks"] else 0.0
-    )
-    print(f"{'  speculation':14s} commit-rate {commit_rate * 100:5.1f}%  "
-          f"replayed/rollback {replayed_per_rollback:,.0f} events")
-    counters["commit_rate"] = round(commit_rate, 4)
-    counters["replayed_per_rollback"] = round(replayed_per_rollback, 1)
     if ceiling_s is not None:
         assert elapsed <= ceiling_s, (
             f"smoke took {elapsed:.1f} s, over the {ceiling_s:.0f} s "
             f"wall-clock ceiling — the cell's scaling regressed"
         )
     return round(elapsed, 4), counters
-
-
-def measure_checkpoint_rollback(concurrency=200, hosts=4, rate=20.0,
-                                shards=2, seed=11, checkpoint_every=2):
-    """Rollback cost with fork checkpoints vs full replay from t=0.
-
-    One deep-history spread cell (many epochs of committed journal) is
-    driven through an adversarial rollback storm twice — the
-    coordinator under-promises the ``safe`` bound and the workers
-    speculate eagerly, so conflicts land on nearly every batched epoch
-    — once with CoW fork checkpoints at a short cadence and once with
-    ``checkpoint_every=0`` (the pre-checkpoint rebuild-and-replay
-    path).  The figure of merit is *replayed events per rollback*: with
-    checkpoints it is O(events since the last checkpoint) and flat in
-    history depth; without, it grows with every committed epoch.  The
-    two summaries are asserted identical — checkpoints move wall-clock
-    only.  Returns a dict of both runs' counters and the improvement.
-    """
-    from repro.cluster.churn import cluster_arrivals
-    from repro.cluster.sharded import run_sharded_cluster
-
-    def storm(interval):
-        stats = {}
-        summary = run_sharded_cluster(
-            "fastiov", concurrency, hosts=hosts, seed=seed, shards=shards,
-            arrivals=cluster_arrivals(seed, rate), sync="optimistic",
-            eager_speculation=True, checkpoint_every=interval,
-            worker_context="fork", engine_stats=stats,
-        )
-        rollbacks = stats["sync_rollbacks"]
-        replayed = stats["sync_replayed_events"]
-        return summary, {
-            "rollbacks": rollbacks,
-            "replayed_events": replayed,
-            "replayed_per_rollback": round(
-                replayed / rollbacks if rollbacks else 0.0, 1
-            ),
-            "checkpoints": stats["sync_checkpoints"],
-            "checkpoint_resumes": stats["sync_checkpoint_resumes"],
-            "full_replays": stats["sync_full_replays"],
-        }
-
-    os.environ["REPRO_OPTIMISTIC_ADVERSARIAL_SAFE"] = "1"
-    try:
-        with_ckpt_summary, with_ckpt = storm(checkpoint_every)
-        without_summary, without = storm(0)
-    finally:
-        del os.environ["REPRO_OPTIMISTIC_ADVERSARIAL_SAFE"]
-    assert with_ckpt_summary == without_summary, (
-        "checkpointed storm diverged from the full-replay storm"
-    )
-    improvement = (
-        without["replayed_per_rollback"]
-        / with_ckpt["replayed_per_rollback"]
-        if with_ckpt["replayed_per_rollback"] else 0.0
-    )
-    print(f"{'ckpt-rollback':14s} "
-          f"replayed/rollback {with_ckpt['replayed_per_rollback']:,.0f} "
-          f"(checkpointed) vs {without['replayed_per_rollback']:,.0f} "
-          f"(full replay)  {improvement:,.1f}x less replay")
-    return {
-        "with_checkpoints": with_ckpt,
-        "full_replay": without,
-        "replay_improvement_x": round(improvement, 2),
-    }
 
 
 def measure_sharded_speedup(shards=8, hosts=48, concurrency=2000):
@@ -566,19 +423,16 @@ REQUIRED_BASELINE_KEYS = (
     "engine_events_per_sec",
     "engine_timer_events_per_sec",
     "engine_daemon_tick_events_per_sec",
-    "optimistic_sync",
-    "checkpoint_rollback",
 )
 
-#: Timings the baseline's ``timings`` map must itself contain.  The
-#: sync-protocol pair joined the schema with the optimistic runner; a
-#: baseline predating it would silently skip exactly those gates.
+#: Timings the baseline's ``timings`` map must itself contain; a
+#: baseline predating any of them would silently skip exactly those
+#: gates.
 REQUIRED_BASELINE_TIMINGS = (
     "scale",
     f"scale_shards{GATE_SHARDS}",
-    f"scale_conservative{GATE_SHARDS}",
-    f"scale_optimistic{GATE_SHARDS}",
-    f"scale_hier{HIER_SHARDS}",
+    f"scale_spread{GATE_SHARDS}",
+    f"scale_spread{WIDE_SHARDS}",
     f"scale_probes{GATE_SHARDS}",
 )
 
@@ -588,13 +442,8 @@ def check(timings, engine_rates, threshold):
 
     ``engine_rates`` maps baseline key -> measured events/sec; each is
     gated the same way: a drop of more than ``threshold`` fails.
-    Beyond the baseline ratios, the sync-protocol pair is gated against
-    *each other*: optimistic slower than conservative by more than the
-    threshold fails, because the adaptive throttle exists precisely to
-    bound optimistic's downside at conservative-plus-noise.  (On
-    multi-core runners optimistic should win outright — speculation
-    overlaps the barrier wait; a single-core runner has no idle cycles
-    to hide speculation in, so parity is the honest expectation.)
+    Beyond the baseline ratios, the probes-on timing is gated against
+    its probes-off twin.
 
     A missing or schema-stale baseline is itself a failure — a gate
     that silently skips is indistinguishable from a gate that passed.
@@ -646,21 +495,6 @@ def check(timings, engine_rates, threshold):
         print(
             f"{key:8s} baseline {base_eps:9,.0f} ev/s  "
             f"now {events_per_sec:9,.0f} ev/s ({ratio * 100:5.1f}%)  {status}"
-        )
-    conservative = timings.get(f"scale_conservative{GATE_SHARDS}")
-    optimistic = timings.get(f"scale_optimistic{GATE_SHARDS}")
-    if conservative and optimistic:
-        ratio = optimistic / conservative
-        status = "ok"
-        if ratio > 1.0 + threshold:
-            status = "REGRESSION"
-            failures.append(
-                ("optimistic-vs-conservative", conservative, optimistic,
-                 ratio)
-            )
-        print(
-            f"{'sync-gate':8s} conservative {conservative:7.3f} s  "
-            f"optimistic {optimistic:7.3f} s ({ratio * 100:5.1f}%)  {status}"
         )
     # Probes-on vs probes-off twin: the telemetry plane's per-run cost,
     # gated so probe instrumentation creep fails CI even when the
@@ -762,15 +596,14 @@ def main(argv=None):
     parser.add_argument("--sharded-speedup", action="store_true",
                         help="also time a heavy 48-host cell at 1 vs 8 "
                              "shards (needs cores; reported, not gated)")
-    parser.add_argument("--optimistic-smoke", action="store_true",
+    parser.add_argument("--smoke", action="store_true",
                         help="also run the 100,000-host completion smoke "
-                             "under hierarchical sync (minutes; reported, "
-                             "not gated unless --smoke-ceiling-s is set)")
+                             "(minutes; reported, not gated unless "
+                             "--smoke-ceiling-s is set)")
     parser.add_argument("--smoke-hosts", type=int, default=100000,
-                        help="host count for --optimistic-smoke "
-                             "(default 100000)")
+                        help="host count for --smoke (default 100000)")
     parser.add_argument("--smoke-concurrent", type=int, default=5000,
-                        help="container count for --optimistic-smoke "
+                        help="container count for --smoke "
                              "(default 5000)")
     parser.add_argument("--smoke-ceiling-s", type=float, default=None,
                         help="fail the smoke if it exceeds this wall-clock "
@@ -778,8 +611,8 @@ def main(argv=None):
                              "one; default: no ceiling)")
     parser.add_argument("--top", action="store_true",
                         help="repaint the repro top live dashboard while "
-                             "--optimistic-smoke runs (telemetry only; "
-                             "results unchanged)")
+                             "--smoke runs (telemetry only; results "
+                             "unchanged)")
     parser.add_argument("--compare", nargs=2, default=None,
                         metavar=("A.json", "B.json"),
                         help="diff two runstamped BENCH metric files "
@@ -820,12 +653,6 @@ def main(argv=None):
     print(f"{'  (per-timer)':14s} {daemon_eps_per_timer:9,} events/s  "
           f"ticker speedup {ticker_speedup:.2f}x")
     timings = measure(EXPERIMENTS, jobs=args.jobs)
-    optimistic_sync = measure_optimistic_stats()
-    print(f"{'sync-counters':14s} epochs={optimistic_sync['epochs']} "
-          f"rollbacks={optimistic_sync['rollbacks']} "
-          f"speculated={optimistic_sync['speculated_events']} "
-          f"replayed={optimistic_sync['replayed_events']}")
-    checkpoint_rollback = measure_checkpoint_rollback()
     probe_overhead = round(
         timings[f"scale_probes{GATE_SHARDS}"]
         / timings[f"scale_shards{GATE_SHARDS}"] - 1.0, 4
@@ -833,8 +660,6 @@ def main(argv=None):
     report = {
         "timings": timings,
         "probe_overhead_frac": probe_overhead,
-        "optimistic_sync": optimistic_sync,
-        "checkpoint_rollback": checkpoint_rollback,
         "engine_events_per_sec": events_per_sec,
         "engine_timer_events_per_sec": timer_eps,
         "engine_timer_events_per_sec_heap_ref": timer_eps_heap,
@@ -854,12 +679,12 @@ def main(argv=None):
             "speedup_x": speedup,
             "cpus": os.cpu_count(),
         }
-    if args.optimistic_smoke:
-        smoke_s, smoke_counters = measure_optimistic_smoke(
+    if args.smoke:
+        smoke_s, smoke_counters = measure_smoke(
             hosts=args.smoke_hosts, concurrency=args.smoke_concurrent,
             ceiling_s=args.smoke_ceiling_s, live=args.top,
         )
-        report["optimistic_smoke"] = {
+        report["smoke"] = {
             "elapsed_s": smoke_s,
             "cpus": os.cpu_count(),
             **smoke_counters,
@@ -882,36 +707,17 @@ def main(argv=None):
     )
     metrics["daemon_ticker_speedup_x"] = ticker_speedup
     metrics["probe_overhead_frac"] = probe_overhead
-    for key, value in optimistic_sync.items():
-        metrics[f"optimistic_{key}"] = value
-    metrics["checkpoint_replayed_per_rollback"] = (
-        checkpoint_rollback["with_checkpoints"]["replayed_per_rollback"]
-    )
-    metrics["full_replayed_per_rollback"] = (
-        checkpoint_rollback["full_replay"]["replayed_per_rollback"]
-    )
-    metrics["checkpoint_replay_improvement_x"] = (
-        checkpoint_rollback["replay_improvement_x"]
-    )
     speedup = report.get("sharded_speedup")
     if speedup:
         metrics["sharded_cell_single_s"] = speedup["single_s"]
         metrics["sharded_cell_sharded_s"] = speedup["sharded_s"]
         metrics["sharded_cell_speedup_x"] = speedup["speedup_x"]
-    smoke = report.get("optimistic_smoke")
+    smoke = report.get("smoke")
     if smoke:
-        metrics["optimistic_smoke_100k_s"] = smoke["elapsed_s"]
-        metrics["optimistic_smoke_100k_rollbacks"] = smoke["rollbacks"]
-        metrics["optimistic_smoke_commit_rate"] = smoke["commit_rate"]
-        metrics["optimistic_smoke_replayed_per_rollback"] = (
-            smoke["replayed_per_rollback"]
-        )
-        metrics["optimistic_smoke_coordinator_wait_s"] = (
-            smoke["coordinator_wait_s"]
-        )
-        metrics["optimistic_smoke_placement_heap_ops"] = (
-            smoke["placement_heap_ops"]
-        )
+        metrics["smoke_100k_s"] = smoke["elapsed_s"]
+        metrics["smoke_epochs"] = smoke["epochs"]
+        metrics["smoke_coordinator_wait_s"] = smoke["coordinator_wait_s"]
+        metrics["smoke_placement_heap_ops"] = smoke["placement_heap_ops"]
     stamped_path = ROOT / f"BENCH_{runstamp}.json"
     stamped_path.write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n"

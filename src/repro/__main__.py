@@ -45,21 +45,6 @@ def shard_count(value):
     return count
 
 
-def checkpoint_interval(value):
-    """argparse type for ``--checkpoint-every``: epochs >= 0.
-
-    0 disables fork checkpoints (optimistic rollback then falls back
-    to full replay from t=0); omitting the flag keeps the adaptive
-    cadence tied to the speculation window.
-    """
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"checkpoint interval must be >= 0, got {value}"
-        )
-    return count
-
-
 def cmd_list(_args):
     print("Experiments (paper artifacts):")
     for exp_id, title in list_experiments():
@@ -76,9 +61,7 @@ def cmd_run(args):
         hosts=args.hosts,
         placement=args.placement,
         shards=args.shards,
-        sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     result = experiment.run(
         quick=args.quick,
@@ -123,9 +106,7 @@ def cmd_profile(args):
         hosts=args.hosts,
         placement=args.placement,
         shards=args.shards,
-        sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     target_label = f"experiment {args.experiment!r}"
     if args.hot:
@@ -189,9 +170,7 @@ def _pick_trace_cell(args):
         hosts=args.hosts,
         placement=args.placement,
         shards=args.shards,
-        sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     cells = experiment._cells(quick=args.quick, seed=args.seed)
     if not cells:
@@ -200,10 +179,6 @@ def _pick_trace_cell(args):
     replacements = {"trace": getattr(args, "trace", True)}
     if args.shards is not None and cell.kind == "cluster":
         replacements["shards"] = args.shards
-    if args.sync is not None and cell.kind == "cluster":
-        replacements["sync"] = args.sync
-    if args.checkpoint_every is not None and cell.kind == "cluster":
-        replacements["checkpoint_every"] = args.checkpoint_every
     return dataclasses.replace(cell, **replacements)
 
 
@@ -239,13 +214,12 @@ def cmd_trace(args):
     *dual-clock* companion file (``--wallclock``, default
     ``<out>.wallclock.json``): the same virtual tracks grouped under
     the worker process that simulated them, side by side with each
-    process's wall-clock phase spans, rollback/checkpoint instants,
-    and the coordinator's wait/place/reduce occupancy — which is how
-    the once opt-in coordinator track is now part of the default trace
-    output.  The ``--out`` file itself stays byte-identical across
-    shard counts, sync modes, and probes on/off (the trace-determinism
-    CI gate diffs it), which is why wall-clock data lives in its own
-    file.  ``--no-wallclock`` skips the probes entirely.
+    process's wall-clock phase spans and the coordinator's
+    wait/place/reduce occupancy — which is how the once opt-in
+    coordinator track is now part of the default trace output.  The
+    ``--out`` file itself stays byte-identical across shard counts and
+    probes on/off (the trace-determinism CI gate diffs it), which is
+    why wall-clock data lives in its own file.  ``--no-wallclock`` skips the probes entirely.
     """
     from repro.experiments import parallel
     from repro.experiments.parallel import run_cell
@@ -297,8 +271,8 @@ def cmd_top(args):
 
     Same cell choice as ``trace``, with runtime probes forced on and a
     ``repro top`` terminal view repainting while the cell runs: per-
-    process commit rate, wire throughput, rollback rate, and phase
-    occupancy, plus the coordinator's placement progress and ETA.  The
+    process step rate, wire throughput, and phase occupancy, plus the
+    coordinator's placement progress and ETA.  The
     final frame and the cell summary print when the run completes.
     """
     from repro.experiments import parallel
@@ -386,28 +360,10 @@ def main(argv=None):
              "worker",
     )
     run_p.add_argument(
-        "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
-        default=None,
-        help="sharded barrier protocol: conservative lockstep epochs "
-             "(default), optimistic speculation with rollback-by-replay, "
-             "hierarchical (optimistic workers under a relay tree with "
-             "a pipelined coordinator), or auto; results are "
-             "byte-identical across modes — this only moves wall-clock",
-    )
-    run_p.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
         help="arrival rate for experiments that take one (scale: 0 = "
              "simultaneous burst; positive rates spread arrivals and "
              "drive the epoch protocol)",
-    )
-    run_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers "
-             "(default: adaptive, tied to the speculation window; 0 "
-             "disables and rollback replays from t=0); wall-clock "
-             "only — results are byte-identical",
     )
     run_p.add_argument(
         "--json", default=None, metavar="PATH",
@@ -436,25 +392,10 @@ def main(argv=None):
              "across shard counts",
     )
     trace_p.add_argument(
-        "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
-        default=None,
-        help="sharded barrier protocol for cluster cells; traces are "
-             "byte-identical across modes (protocol counters ride the "
-             "metrics export, not the timeline)",
-    )
-    trace_p.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
         help="arrival rate for experiments that take one; positive "
              "rates spread arrivals so the traced cell exercises the "
              "epoch protocol and exports its sync counters",
-    )
-    trace_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers; "
-             "checkpoint/rollback counters ride the metrics export, "
-             "the timeline stays byte-identical",
     )
     trace_p.add_argument(
         "--out", default="trace.json", metavar="PATH",
@@ -500,20 +441,9 @@ def main(argv=None):
         help="shard simulators for the watched cluster cell",
     )
     top_p.add_argument(
-        "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
-        default=None,
-        help="sharded barrier protocol for the watched cell",
-    )
-    top_p.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
         help="arrival rate; positive rates spread arrivals so there "
              "is an epoch frontier to watch",
-    )
-    top_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers",
     )
     top_p.add_argument(
         "--interval", type=float, default=0.5, metavar="SECONDS",
@@ -542,23 +472,9 @@ def main(argv=None):
              "when hosts-per-shard clears the overhead threshold)",
     )
     profile_p.add_argument(
-        "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
-        default=None,
-        help="sharded barrier protocol for cluster cells; --hot prints "
-             "the protocol's sync counters with the engine statistics",
-    )
-    profile_p.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
         help="arrival rate for experiments that take one; positive "
              "rates spread arrivals and drive the epoch protocol",
-    )
-    profile_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers; "
-             "--hot prints checkpoint/resume counters with the engine "
-             "statistics",
     )
     profile_p.add_argument(
         "--hot", action="store_true",

@@ -155,11 +155,14 @@ def cluster_arrivals(seed, rate_per_s=0.0):
     return ArrivalPattern("burst")
 
 
+#: The sync-mode names ``run_cluster_cell`` still accepts (see there).
+_SYNC_NAMES = (None, "conservative", "optimistic", "hierarchical", "auto")
+
+
 def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
                      placement="least-loaded", teardown=True, shards=1,
                      workers=None, rate_per_s=0.0, engine_stats=None,
-                     trace=None, sync="conservative",
-                     checkpoint_every=None, telemetry=None):
+                     trace=None, sync=None, telemetry=None):
     """One cluster-scale launch cell; returns a plain-JSON summary.
 
     The cluster analogue of ``launch_preset`` + ``summarize_launch``:
@@ -168,19 +171,21 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
     routes to the sharded runner (:mod:`repro.cluster.sharded`):
     round-robin and burst-arrival cells come back byte-identical to the
     single-process run; spread-arrival least-loaded cells follow the
-    deterministic epoch protocol, under lockstep barriers
-    (``sync="conservative"``) or Time-Warp-lite speculation
-    (``sync="optimistic"``).  ``workers``, ``sync`` and
-    ``checkpoint_every`` (the optimistic workers' fork-checkpoint
-    cadence; 0 disables, None adapts) never change results;
-    single-process runs ignore ``sync`` (there is no barrier).
+    deterministic lockstep epoch protocol.  ``workers`` never changes
+    results.
+
+    ``sync`` selects nothing.  The sharded runner once offered three
+    sync protocols that all committed the same timeline; only the
+    lockstep one remains, and the old names (``"conservative"``,
+    ``"optimistic"``, ``"hierarchical"``, ``"auto"``) are accepted so
+    existing callers keep working.  Anything else raises
+    :class:`ValueError`.
 
     ``engine_stats``, if given, is a dict filled with the simulator's
     :meth:`~repro.sim.core.Simulator.wheel_stats` for diagnostics —
     single-process wheel stats, or the shards' aggregated stats plus
-    the sync-protocol counters (epochs, barrier wait, rollbacks,
-    speculated/replayed events); it is never part of the returned
-    summary.
+    the protocol counters (steps, barrier wait, coordinator
+    occupancy); it is never part of the returned summary.
 
     ``trace``, if given, is a dict filled with the flight-recorder
     bundle (``repro.obs``): single-process runs record on one shared
@@ -190,15 +195,16 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
 
     ``telemetry``, if given, is a dict filled with the wall-clock
     telemetry snapshot (``repro.obs.runtime``): per-process phase
-    totals, spans, instants and wire accounting.  Sharded runs probe
-    the coordinator and every worker/relay; a single-process run gets
-    one ``main`` probe timing the whole drive.  Same contract as
+    totals, spans and wire accounting.  Sharded runs probe the
+    coordinator and every worker; a single-process run gets one
+    ``main`` probe timing the whole drive.  Same contract as
     ``trace``: never part of the summary.
     """
+    if sync not in _SYNC_NAMES:
+        raise ValueError(f"unknown sync mode {sync!r}")
     from repro.cluster.sharded import resolve_shards
 
-    shards = resolve_shards(shards, hosts, placement=placement,
-                            rate_per_s=rate_per_s, sync=sync)
+    shards = resolve_shards(shards, hosts)
     if shards > 1:
         from repro.cluster.sharded import run_sharded_cluster
 
@@ -206,8 +212,7 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
             preset, concurrency, hosts, seed=seed, shards=shards,
             placement=placement, app_name=app_name, teardown=teardown,
             arrivals=cluster_arrivals(seed, rate_per_s), workers=workers,
-            trace=trace, sync=sync, engine_stats=engine_stats,
-            checkpoint_every=checkpoint_every, telemetry=telemetry,
+            trace=trace, engine_stats=engine_stats, telemetry=telemetry,
         )
     from repro.cluster.cluster import Cluster
 

@@ -109,19 +109,6 @@ class ClusterShard:
         self._teardowns = []
         #: Startup-watchdog expiries (mirrors ClusterChurnDriver).
         self.deadline_misses = 0
-        #: Lifecycles submitted / still running.  ``live`` counts a
-        #: lifecycle from spawn (even before its arrival offset elapses)
-        #: until its teardown completes; the optimistic protocol only
-        #: speculates while live work exists, so a shard can never
-        #: free-run its daemons past the cluster's natural end.
-        self.started = 0
-        self.live = 0
-        #: Virtual time of the last lifecycle completion — the shard's
-        #: *natural* end, unlike ``sim.now`` which speculation may have
-        #: pushed further.
-        self.last_lifecycle_end = 0.0
-        #: Set by :meth:`discard` when a rollback abandons this shard.
-        self.abandoned = False
 
     # ------------------------------------------------------------------
     # driving
@@ -136,8 +123,6 @@ class ClusterShard:
         now = self.sim.now
         for global_index, arrival, host_index in assignments:
             name = f"{name_prefix}{global_index}"
-            self.started += 1
-            self.live += 1
             self.sim.spawn(
                 self._lifecycle(global_index, name, arrival - now, host_index),
                 name=f"churn-{name}",
@@ -175,40 +160,38 @@ class ClusterShard:
                 yield from host.engine.run_container(request, record)
             finally:
                 watchdog.cancel()
-                # A discarded shard's generators are closed mid-flight
-                # (GeneratorExit at garbage collection); a timeline that
-                # was rolled back never happened, so record nothing.
-                if not self.abandoned:
-                    self.records[global_index] = (
-                        arrival_time, sim.now, record.startup_time
-                    )
+            self.records[global_index] = (
+                arrival_time, sim.now, record.startup_time
+            )
             if self.teardown:
                 yield from host.engine.remove_container(name)
         finally:
-            if not self.abandoned:
-                self.loads[host_index] -= 1
-                self.live -= 1
-                self.last_lifecycle_end = sim.now
-                self._teardowns.append((sim.now, host_index))
+            self.loads[host_index] -= 1
+            self._teardowns.append((sim.now, host_index))
 
     def _deadline_missed(self, name):
         self.deadline_misses += 1
 
-    def run_until(self, when):
-        """Advance to barrier ``when``; returns the new teardown deltas."""
-        self.sim.run_until(when)
-        return self.take_teardowns()
+    def step(self, barrier, until, batch):
+        """One protocol step: spawn ``batch`` at ``barrier``, advance to
+        ``until``; returns the teardown deltas recorded since the last
+        step.
 
-    def discard(self):
-        """Mark this shard's timeline as rolled back and abandoned.
-
-        Called by the optimistic runner before the shard is dropped for
-        a replayed replacement: the half-run lifecycle generators get
-        closed whenever garbage collection reaps the simulator, and
-        their cleanup must not record startups or teardowns from a
-        timeline that officially never happened.
+        Every delta returned has time <= ``until`` — the epoch grid's
+        visibility rule (see :mod:`repro.cluster.sharded`).  The clock
+        only moves forward: a shard already at ``barrier`` spawns right
+        there, and ``until == barrier`` (the round-robin plan's single
+        step) spawns without dispatching anything.
         """
-        self.abandoned = True
+        sim = self.sim
+        if batch:
+            if sim.now < barrier:
+                sim.run_until(barrier)
+            self.submit(batch)
+        if sim.now < until:
+            sim.run_until(until)
+        deltas, self._teardowns = self._teardowns, []
+        return deltas
 
     def drain(self):
         """Run until every lifecycle finished; returns the local end time.
@@ -216,49 +199,12 @@ class ClusterShard:
         Daemon work scheduled past the last lifecycle's completion stays
         pending — exactly as in a single-process run, where it only
         executes while *some* host still has live work.  The coordinator
-        turns the per-shard end times into a global horizon and calls
-        :meth:`run_until` once more so every shard's background daemons
-        tick as far as they would have on the shared timeline.
+        turns the per-shard end times into a global horizon and advances
+        every shard to it, so each shard's background daemons tick as
+        far as they would have on the shared timeline.
         """
         self.sim.run()
         return self.sim.now
-
-    def take_teardowns(self, upto=None):
-        """Teardown deltas recorded since the last call.
-
-        With ``upto`` given, only deltas with time <= ``upto`` are
-        taken; the rest stay buffered.  This is the optimistic
-        protocol's anti-message boundary: teardowns a speculating shard
-        produced *beyond* its committed frontier stay local (and are
-        simply discarded with the shard on rollback), so the
-        coordinator only ever sees deltas that can no longer be
-        invalidated.  The buffer is appended in dispatch order, so its
-        times are non-decreasing and the committed prefix is a slice.
-
-        The same boundary makes fork-checkpoint resume safe: a shard
-        replayed from a CoW image regenerates every teardown between
-        the checkpoint and the committed frontier, and the resumed
-        worker re-drops them with ``upto`` at its reported watermark —
-        so the coordinator's load vector never sees a delta twice no
-        matter which process image produced it.
-
-        Optimistic/hierarchical step replies do not ship these pairs
-        verbatim: the worker summarizes each committed batch of them
-        into a per-host load digest (``wire.digest_deltas``) — the
-        coordinator only ever decrements loads with them, and every
-        reply is applied before the next placement decision, so the
-        digest is information-lossless for placement and relay nodes
-        can merge child replies by addition.
-        """
-        deltas = self._teardowns
-        if upto is None:
-            self._teardowns = []
-            return deltas
-        cut = 0
-        while cut < len(deltas) and deltas[cut][0] <= upto:
-            cut += 1
-        self._teardowns = deltas[cut:]
-        return deltas[:cut]
 
     # ------------------------------------------------------------------
     # results

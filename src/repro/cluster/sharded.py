@@ -16,190 +16,59 @@ Round-robin: zero synchronization
 Round-robin placement is a pure function of arrival order (container
 ``n`` lands on host ``n % H``), and arrival order is a pure function of
 the arrival schedule, which is known before the simulation starts.  The
-whole placement plan is therefore computed up front, each shard receives
-its containers in one message, and the shards run to completion with no
+whole placement plan is therefore computed up front and shipped in one
+``step(0.0, 0.0, batches)``, and the shards run to completion with no
 barriers at all.  Because a host's event stream does not depend on which
 simulator it shares (per-host jitter forks ``host-i``, per-host state),
 the merged result is **byte-identical** to the single-process run for
 every shard count.
 
-Least-loaded: conservative epoch barriers
------------------------------------------
+Least-loaded: one lockstep step per epoch that has arrivals
+-----------------------------------------------------------
 
 Least-loaded placement needs cross-shard load knowledge: the pick for an
 arrival at time *t* depends on every placement and teardown before *t*.
 Placements are made centrally (the coordinator walks arrivals in
 schedule order), so the only information that must flow between shards
 is *teardown times* — and those become known only as each shard
-simulates.  The protocol advances all shards in lockstep over a fixed
-virtual-time grid of width ``L`` (the lookahead, derived from the
-minimum possible startup latency, :func:`min_startup_lookahead`):
+simulates.  Virtual time is cut into a fixed grid of epochs of width
+``L`` (the lookahead, derived from the minimum possible startup latency,
+:func:`min_startup_lookahead`), and the coordinator sends one message
+per epoch that has arrivals:
 
-1. at barrier ``kL`` every shard has simulated to exactly ``kL`` and has
-   reported every teardown with time <= ``kL``;
-2. the coordinator applies the reported load deltas, places the arrivals
-   of epoch ``[kL, (k+1)L)`` in (time, index) order against its load
-   vector, and sends each shard its assignments;
-3. every shard advances to ``(k+1)L``, reporting new teardowns.
+1. it places the arrivals of epoch ``[kL, (k+1)L)`` in (time, index)
+   order against its load tracker;
+2. it sends every worker ``("step", kL, until, batches)``, where
+   ``until`` is the barrier of the *next* epoch that has arrivals (or
+   ``(k+1)L`` after the last one);
+3. every shard advances to ``kL``, spawns its batch, advances to
+   ``until``, and replies with a load digest: how many containers left
+   each of its hosts since the previous step.
 
-A teardown is thus visible to an arrival iff it happened at or before
-the start of the arrival's epoch — a *conservative* view (the load
-vector briefly overestimates), but one defined purely on the fixed grid:
-the placement sequence is a deterministic function of the arrival
-schedule and per-host teardown times, both of which are independent of
-the shard count and of how shards map to worker processes.  Results are
-therefore invariant to K and ``workers``.  Epochs without arrivals are
-skipped in one jump (the visibility rule depends only on the grid, not
-on which barriers were visited).  For a simultaneous burst every arrival
-lands in epoch 0 before any teardown exists, the pick sequence cycles
-exactly like round-robin, and the K > 1 result is byte-identical to the
+The visibility rule: a teardown is visible to an arrival iff it
+happened at or before the start of the arrival's epoch.  This is a
+*conservative* view (the load vector briefly overestimates), but one
+defined purely on the grid, so the placement sequence is a
+deterministic function of the arrival schedule and per-host teardown
+times — both independent of the shard count and of how shards map to
+worker processes.  Results are therefore invariant to K and
+``workers``.  Empty epochs cost nothing: a step runs straight to the
+next barrier that matters, and the teardowns it reports all have time
+<= that barrier, exactly what visiting each empty barrier in turn would
+have reported.  For a simultaneous burst every arrival lands in epoch 0
+before any teardown exists, the pick sequence cycles exactly like
+round-robin, and the K > 1 result is byte-identical to the
 single-process run for this case too.
 
-Optimistic: speculate past the barrier, replay on conflict
-----------------------------------------------------------
-
-``sync="optimistic"`` keeps the *semantics* of the conservative grid —
-placement still happens centrally, epoch by epoch, under the same
-teardown-visibility rule — but decouples each shard's local clock from
-the lockstep barriers (Time-Warp style, restricted to the one conflict
-this model has).  Three changes:
-
-* **Combined step messages.**  One ``("step", kL, (k+1)L, safe,
-  batches)`` round-trip per epoch replaces the conservative submit +
-  run_until pair, halving per-epoch protocol latency.  ``safe`` is a
-  promise only this coordinator can make — the arrival schedule is
-  known up front, so the earliest barrier any future batch can carry
-  is the next unplaced arrival's epoch start.
-* **Speculation.**  Between messages a shard free-runs past its
-  committed frontier in lookahead-sized quanta: *risk-free* up to the
-  ``safe`` bound (no batch below it can ever arrive, so that work is
-  certain to commit), and beyond it bounded by an adaptive window of W
-  epochs — but only while it has live lifecycles, so daemons never
-  free-run past the cluster's natural end.  Teardowns
-  produced beyond the frontier stay buffered inside the shard (they
-  are this protocol's anti-messages, except they are never
-  transmitted): the coordinator only ever sees deltas at or before the
-  committed frontier, which no future input can invalidate, so there
-  is nothing external to undo on rollback.
-* **Rollback by replay.**  When a step carries a batch whose barrier
-  lies *behind* the shard's speculated clock, the speculation ran past
-  a real input.  The model's generator processes cannot be snapshotted
-  (an instruction pointer is not copyable — see
-  ``Simulator.snapshot``, which is engine-state-only for exactly this
-  reason), so the shard is not patched in place.  The *fallback* path
-  rebuilds it from its spec and replays its input journal — every
-  (barrier, batch) it ever committed — up to the conflicting barrier:
-  O(committed history) per rollback.  Teardowns the coordinator
-  already saw are dropped from the replayed buffer; speculative ones
-  were never sent.
-
-Fork checkpoints: O(Δ) rollback
--------------------------------
-
-Worker processes bound the replay with copy-on-write checkpoints
-(:mod:`repro.cluster.checkpoint`): every C confirmed epochs (by
-default a reactive, adaptive cadence — armed by the first rollback,
-tied to the AIMD window, backed off while nothing conflicts) a worker
-``fork()``\ s a paused child at a commit-safe instant — a CoW image of
-the whole interpreter, generators included — and truncates its journal
-to the entries after the fork.  A conflict then *kills the current worker image*: the
-per-shard AIMD bookkeeping is packed into a handover message together
-with the journal suffix and the raw pending request, shipped down the
-checkpoint's control pipe, and the worker ``_exit``\ s.  The child —
-which first re-forks a replacement clone of itself, so the logical
-checkpoint survives repeated rollbacks — replays only the suffix,
-O(events since checkpoint) instead of O(history), and serves the
-coordinator pipe it inherited.  The coordinator never notices the
-swap: framing is strictly one outstanding request per worker, so the
-pending request travels in the handover and its reply comes from the
-resumed image.  Workers without ``os.fork`` (or started under a
-``spawn`` context, or with ``checkpoint_every=0``) keep the full
-journal and fall back to rebuild-and-replay-from-t=0; the in-process
-group cannot sacrifice its own process and always uses full replay.
-Checkpoints move wall-clock only — the committed timeline, and with
-it every result byte, is unchanged.
-
-Packed wire format
-------------------
-
-The per-epoch protocol messages — step/submit batches down, teardown
-deltas up — dominate barrier latency once the simulation itself is
-sharded away, so the hot path speaks the struct-packed binary framing
-of :mod:`repro.cluster.wire` (fixed headers plus ``array`` payloads)
-instead of pickling tagged tuples; cold control ops fall back to
-pickle behind a one-byte tag.  Setting
-``REPRO_OPTIMISTIC_ADVERSARIAL_SAFE=1`` makes the coordinator
-under-promise the risk-free ``safe`` bound (the epoch barrier itself)
-and pins the speculation window open — every speculating shard then
-conflicts on nearly every batched epoch, which is the rollback-storm
-regime the determinism CI leg uses to hammer the checkpoint
-resume path.
-
-The committed timeline every shard ends on is therefore *exactly* the
-conservative one — same barriers, same batches, same grid — so results
-stay byte-identical across sync modes, shard counts, and worker
-counts; speculation and rollback only move wall-clock.  The adaptive
-window (halved on rollback, grown on confirmed speculation, zeroed for
-good when rollbacks dominate commits) degrades pathological cells to
-the conservative protocol instead of thrashing on O(history) replays.
-
-Hierarchical: relay tree, digest replies, pipelined coordinator
----------------------------------------------------------------
-
-At high shard counts the *coordinator* becomes the bottleneck the
-protocol was built to remove: every epoch it pays one pipe write plus
-one pipe read per worker (O(shards) sequential syscalls on the serial
-path), walks an O(hosts) argmin per arrival, and sits idle between
-sending a step and receiving its replies.  ``sync="hierarchical"``
-keeps the worker protocol *exactly* optimistic — same combined steps,
-same speculation, same fork checkpoints — and restructures the paths
-around it, all behind the same byte-identity contract:
-
-* **Relay tree.**  When the worker count exceeds the fan-in
-  (:data:`RELAY_FAN_IN`, default 4), workers hang off intermediate
-  *relay* processes (recursively, so depth grows as log_fanin).  A
-  relay routes step batches down to its children and *tree-reduces*
-  their replies — load digests merge by per-host addition — so the
-  coordinator touches fan-in pipes per epoch instead of one per
-  worker, and the reduction work runs in the relays, in parallel.
-* **Load-digest replies (wire tag ``L``).**  Optimistic step replies
-  carry ``[(host, freed_count), ...]`` instead of every ``(time,
-  host)`` teardown pair.  The coordinator only ever *decremented its
-  load vector* with those pairs, and every reply is applied before the
-  next placement decision, so the digest is information-lossless for
-  placement — while making replies O(distinct hosts) and mergeable in
-  the relays.
-* **Incremental placement.**  The per-arrival O(hosts) argmin becomes
-  a lazy min-heap of ``(load, host)`` entries
-  (:class:`repro.cluster.placement.LeastLoadedTracker`) fed by the
-  digests, with stale-entry invalidation.  Heap order on ``(load,
-  host)`` tuples *is* "least load, ties to the lowest index", so every
-  pick is provably the host the exact scan would return — placement
-  stays bit-identical while per-epoch coordinator work drops from
-  O(arrivals x hosts) to O(arrivals log hosts).
-* **Depth-2 epoch pipelining.**  After shipping a batched step the
-  coordinator immediately streams the *next* epoch's batchless jump
-  (when the next arrival sits beyond the epoch just stepped) without
-  waiting for replies — two requests in flight per pipe, both replies
-  drained before the next placement decision.  The message sequence,
-  and with it the committed timeline, is exactly the serial protocol's;
-  what changes is that workers advance through the empty epochs while
-  the previous step's replies are still in the pipe, halving round-trip
-  waits on sparse-arrival cells.  The fork-checkpoint handover needs no
-  change for depth 2: at most one request is ever *in processing* (the
-  one the handover carries), and a queued follow-up lives in the kernel
-  pipe buffer, which survives the process swap with the inherited pipe.
-
-End-of-run under speculation: a speculated clock may overshoot the
-shard's natural end, so ``drain`` reports max(committed frontier, last
-lifecycle completion) — the end time the conservative run would have —
-and ``finish`` rolls a shard back by replay if its clock sits past the
-global horizon, so merged event counts still match the single-process
-run exactly.
+Workers form a flat star around the coordinator: one pipe per worker,
+at most one outstanding request on each.  The hot messages speak the
+struct-packed framing of :mod:`repro.cluster.wire`; a worker that dies
+mid-run surfaces as a :class:`RuntimeError` naming its index and
+shards, and the group reaps every child before the error propagates.
 
 ``shards=1`` requests are routed by :func:`~repro.cluster.churn.run_cluster_cell`
-to the single-process :class:`Cluster` path — today's behavior, with
-continuous (not epoch-quantized) teardown visibility.
+to the single-process :class:`Cluster` path — with continuous (not
+epoch-quantized) teardown visibility.
 
 End-of-run alignment
 --------------------
@@ -219,134 +88,51 @@ import time
 import traceback
 
 from repro.cluster import wire
-from repro.cluster.checkpoint import (
-    ForkCheckpointer,
-    fork_checkpoints_supported,
-)
 from repro.cluster.placement import make_load_tracker
 from repro.cluster.shard import ClusterShard
 from repro.metrics.stats import Distribution
 from repro.obs import runtime
-from repro.obs.runtime import (
-    RecordBuffer,
-    RuntimeProbe,
-    TelemetryAggregator,
-)
+from repro.obs.runtime import RuntimeProbe, TelemetryAggregator
 from repro.spec import PAPER_TESTBED
 from repro.workloads.generator import ArrivalPattern
 
 
 #: Below this many hosts per shard, worker spawn and the per-epoch
-#: barrier cost more wall-clock than the split saves: the quick scale
+#: steps cost more wall-clock than the split saves: the quick scale
 #: cell (8 hosts) measured 3.7 s at ``--shards 4`` against 2.3 s
 #: single-process.  ``resolve_shards("auto", ...)`` never splits finer.
-#: This floor applies to the zero-synchronization plans (round-robin,
-#: and burst arrivals under any placement), whose only overhead is
-#: worker spawn plus one submit/drain/finish exchange.
+#: A 16-host spread cell (500 arrivals at 100/s) ran faster at two
+#: shards than at one in 10 of 10 alternating pairs on a 2-core box
+#: (DESIGN.md §7), so one floor serves every placement plan.
 MIN_HOSTS_PER_SHARD = 8
-#: Spread-arrival least-loaded cells run the epoch protocol — a global
-#: barrier every lookahead (~52 ms of virtual time) — so a split has to
-#: amortize far more synchronization before it wins.  The conservative
-#: protocol pays two blocking round-trips per epoch; optimistic
-#: speculation overlaps simulation with the barrier wait and halves the
-#: round-trips, so its floor sits lower.
-MIN_HOSTS_PER_SHARD_EPOCH = 32
-MIN_HOSTS_PER_SHARD_OPTIMISTIC = 16
-#: Hierarchical sync runs the identical optimistic worker protocol —
-#: speculation overlaps the same barrier wait — so its floor matches
-#: the optimistic one; the relay tree only changes who fans the step
-#: out, not how much synchronization a shard must amortize.
-MIN_HOSTS_PER_SHARD_HIERARCHICAL = MIN_HOSTS_PER_SHARD_OPTIMISTIC
-
-#: Relay-tree fan-in: how many child pipes any one node (the
-#: coordinator, or a relay) serves before another relay layer is
-#: inserted.  Four keeps the coordinator's per-epoch pipe work at
-#: fan_in writes + fan_in reads while the tree stays shallow (depth 2
-#: covers 16 workers, depth 3 covers 64).  Worker counts at or below
-#: the fan-in keep the flat star — a single relay layer would add a
-#: hop without removing any coordinator work.
-RELAY_FAN_IN = 4
 
 
-def resolve_shards(shards, hosts, placement="least-loaded", rate_per_s=0.0,
-                   sync="conservative"):
+def resolve_shards(shards, hosts):
     """Resolve a shard request — ``None``, an int, or ``"auto"`` — to a
     concrete shard count for a ``hosts``-host cell.
 
-    ``"auto"`` picks the widest split that keeps a minimum number of
-    hosts per shard, bounded by the CPU count — and that minimum now
-    depends on how much synchronization the cell's *placement plan*
-    needs, not just on host count:
-
-    ============================  =========================  =========
-    plan                          synchronization            floor
-    ============================  =========================  =========
-    round-robin (any arrivals)    none (placed up front)     8
-    least-loaded, burst           none (single epoch 0)      8
-    least-loaded, spread, cons.   2 round-trips per epoch    32
-    least-loaded, spread, opt.    1 round-trip + overlap     16
-    least-loaded, spread, hier.   1 round-trip + overlap     16
-    ============================  =========================  =========
-
-    Hierarchical shares the optimistic floor: the per-shard
-    synchronization cost is identical (the worker protocol *is*
-    optimistic); relays and pipelining only cut coordinator-side work.
-
-    A cell below its floor falls back to the in-process single-shard
-    path (with a note on stderr), so auto never picks a sharded config
-    that benches slower than ``--shards 1`` — the epoch-protocol floors
-    exist precisely because a barrier-bound split can lose to the
-    single-process run even where the zero-sync plans win.  Explicit
-    integer counts are honored (clamped to ``hosts``) — the caller
-    asked for that split, overhead and all.  Results are byte-identical
-    across shard counts, so this is purely a wall-clock decision.
+    ``"auto"`` picks the widest split that keeps
+    :data:`MIN_HOSTS_PER_SHARD` hosts per shard, bounded by the CPU
+    count.  A cell below the floor falls back to the in-process
+    single-shard path (with a note on stderr).  Explicit integer counts
+    are honored (clamped to ``hosts``) — the caller asked for that
+    split, overhead and all.  Results are byte-identical across shard
+    counts, so this is purely a wall-clock decision.
     """
     if shards is None:
         return 1
     if shards == "auto":
-        if placement == "round-robin" or not rate_per_s:
-            floor = MIN_HOSTS_PER_SHARD
-        elif sync in ("optimistic", "hierarchical", "auto"):
-            floor = MIN_HOSTS_PER_SHARD_HIERARCHICAL
-        else:
-            floor = MIN_HOSTS_PER_SHARD_EPOCH
-        resolved = max(1, min(os.cpu_count() or 1, hosts // floor))
-        if resolved == 1 and hosts < 2 * floor:
+        resolved = max(1, min(os.cpu_count() or 1,
+                              hosts // MIN_HOSTS_PER_SHARD))
+        if resolved == 1 and hosts < 2 * MIN_HOSTS_PER_SHARD:
             print(
                 f"shards=auto: {hosts}-host cell is below "
-                f"{floor} hosts/shard at any split; "
+                f"{MIN_HOSTS_PER_SHARD} hosts/shard at any split; "
                 f"using the in-process single-shard path",
                 file=sys.stderr,
             )
         return resolved
     return max(1, min(int(shards), hosts))
-
-
-def resolve_sync(sync, shards=1, placement="least-loaded"):
-    """Resolve a ``--sync`` request to the protocol actually run.
-
-    ``conservative``, ``optimistic`` and ``hierarchical`` are honored
-    for any cell that runs the epoch protocol; all degrade to
-    ``conservative`` when there is no barrier to speculate past (a
-    single shard, or round-robin placement, which is placed entirely
-    up front with zero synchronization).  ``auto`` picks
-    ``hierarchical`` exactly when the epoch protocol runs: the worker
-    side *is* the optimistic protocol (the adaptive window bounds its
-    downside to conservative-plus-noise), the relay tree only forms
-    when the worker count exceeds the fan-in, and the pipelined
-    coordinator sends the identical message sequence — results are
-    byte-identical across all of it, so — like :func:`resolve_shards`
-    — this is purely a wall-clock decision.
-    """
-    if sync is None:
-        return "conservative"
-    if sync not in ("conservative", "optimistic", "hierarchical", "auto"):
-        raise ValueError(f"unknown sync mode {sync!r}")
-    if shards <= 1 or placement == "round-robin":
-        return "conservative"
-    if sync == "auto":
-        return "hierarchical"
-    return sync
 
 
 def partition_hosts(hosts, shards):
@@ -380,7 +166,7 @@ def min_startup_lookahead(spec=None):
     floor absorbs the multiplicative (log-normal, unit-mean) jitter in
     practice.  The protocol is deterministic and K-invariant for *any*
     positive epoch width — a smaller value only tightens how stale the
-    conservative load vector can get, at the cost of more barriers.
+    conservative load vector can get, at the cost of more steps.
     """
     spec = spec if spec is not None else PAPER_TESTBED
     return (spec.vm_create_base_s + spec.guest_boot_base_s) / 2.0
@@ -412,574 +198,67 @@ def peak_concurrency(spans):
 
 
 # ----------------------------------------------------------------------
-# optimistic shard state: journal, speculation window, rollback
+# the shards one process simulates
 # ----------------------------------------------------------------------
-#: Speculation window start/cap, in epochs of lookahead beyond the
-#: risk-free ``safe`` bound.  Slow-start: risk-free speculation alone
-#: must prove itself (a streak of confirmed epochs) before any risky
-#: overshoot is attempted, so a rollback-prone cell never pays the
-#: first replay at full window depth.
-_SPEC_WINDOW_INIT = 0
-_SPEC_WINDOW_MAX = 16
-#: AIMD pacing: a rollback halves the window (toward zero — replay is
-#: O(committed history), so risky speculation must back off hard); the
-#: window grows by one only after this many consecutive confirmed
-#: speculations.
-_SPEC_GROW_STREAK = 4
-#: Sticky breaker: once a shard has rolled back this many times with
-#: fewer than half as many confirmed speculations, it stops risky
-#: speculation for the rest of the run (risk-free speculation up to
-#: ``safe`` continues — that part can never roll back).
-_SPEC_BREAKER_ROLLBACKS = 8
+class _ShardSet:
+    """The shards one process simulates, serving the protocol's ops.
 
-
-def _adversarial_safe():
-    """Rollback-storm test mode (see module docstring): the
-    coordinator under-promises ``safe`` and shards pin their window
-    open, so speculation conflicts on nearly every batched epoch."""
-    return os.environ.get(
-        "REPRO_OPTIMISTIC_ADVERSARIAL_SAFE", ""
-    ) not in ("", "0")
-
-
-def _hist_add(hist, value):
-    """Bump a power-of-two histogram bucket: smallest b with
-    ``value <= 2**b`` (bucket 0 spans everything at or below 1)."""
-    bucket = 0
-    while (1 << bucket) < value and bucket < 62:
-        bucket += 1
-    hist[bucket] = hist.get(bucket, 0) + 1
-
-
-class _SpeculativeShard:
-    """A :class:`ClusterShard` plus the bookkeeping of optimistic sync.
-
-    Holds the shard's input journal (every committed ``(barrier,
-    batch)``), its committed frontier, and the adaptive speculation
-    window.  Rollback is replay: generators cannot be snapshotted, so a
-    mis-speculated shard is rebuilt from its spec and its journal is
-    re-run up to the conflict point — O(committed history), which is
-    why the window shrinks aggressively when rollbacks happen.
+    Used directly as the shard group when everything runs in-process
+    (``workers=0``, or inside a daemonic pool worker), and wrapped by
+    :func:`_worker_main` in each worker process — so both transports
+    execute the identical step/drain/finish code.
     """
 
-    def __init__(self, spec, lookahead):
-        self._spec = dict(spec)
-        self._lookahead = lookahead
-        self.shard = ClusterShard(**self._spec)
-        # Wall-clock plane: let the engine publish its live frontier.
-        # Telemetry-only — the probe never feeds back into the sim.
-        self.shard.sim.runtime_probe = runtime.get_probe()
-        #: Committed inputs, in submission order: ``(barrier, batch)``.
-        #: After a checkpoint this holds only the post-checkpoint
-        #: *suffix* — the prefix lives applied inside the CoW image.
-        self._journal = []
-        #: No input with a barrier below this can ever arrive; work at
-        #: or before it is committed, work beyond it is speculation.
-        self._frontier = 0.0
-        #: Coordinator's promise: the next batch (for any shard) comes
-        #: no earlier than this barrier, because the arrival schedule
-        #: is known up front.  Speculation below it is risk-free — only
-        #: the windowed overshoot beyond it can ever roll back.
-        self._safe = 0.0
-        #: Teardowns at or before this time were already sent to the
-        #: coordinator (and must not be re-sent by a replayed shard).
-        self._reported = 0.0
-        #: Local clock of the newest fork checkpoint, None before the
-        #: first capture.  Once set, the journal prefix is gone and
-        #: in-place full replay would silently lose inputs — so
-        #: :meth:`_rollback` refuses to run.
-        self._ckpt_time = None
-        self._ckpt_age = 0
-        self.window = _SPEC_WINDOW_INIT
-        self.throttled = False
-        self._pinned = _adversarial_safe()
-        if self._pinned:
-            self.window = _SPEC_WINDOW_MAX
-        self._commit_streak = 0
-        self.stats = {
-            "epochs": 0,
-            "rollbacks": 0,
-            "speculated_events": 0,
-            "replayed_events": 0,
-            "speculation_commits": 0,
-            "checkpoints": 0,
-            "checkpoint_resumes": 0,
-            "full_replays": 0,
-            "checkpoint_age_epochs": 0,
-            "rollback_depth_hist": {},
-            "replay_distance_hist": {},
-        }
-
-    def step(self, barrier, epoch_end, safe, batch):
-        """One combined protocol step: commit through ``epoch_end``.
-
-        Submits ``batch`` at the epoch ``barrier`` (rolling back first
-        if the local clock speculated past it), advances to
-        ``epoch_end``, and returns the teardown deltas with time <=
-        ``epoch_end`` — exactly what the conservative submit +
-        run_until pair reports, so the coordinator's load vector sees
-        identical deltas at identical barriers in both modes.
-
-        ``safe`` is the earliest barrier any future batch can carry
-        (the next unplaced arrival's epoch start; infinity once every
-        arrival is placed) — it moves the shard's risk-free speculation
-        bound forward.
-        """
-        self.stats["epochs"] += 1
-        if self._ckpt_time is not None:
-            self._ckpt_age += 1
-            if self._ckpt_age > self.stats["checkpoint_age_epochs"]:
-                self.stats["checkpoint_age_epochs"] = self._ckpt_age
-        self._safe = safe
-        shard = self.shard
-        speculated = shard.sim.now > self._frontier
-        rolled_back = False
-        if batch and shard.sim.now > barrier:
-            self._rollback(barrier)
-            rolled_back = True
-            shard = self.shard
-        # Phase attribution: the rollback replay (if any) was timed by
-        # _rollback itself; everything from here to the epoch end is
-        # committed simulation work.  A rolled-back shard's clock sits
-        # exactly at the barrier, so the run_until(barrier) catch-up
-        # below never re-runs replayed work.
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        if batch:
-            if shard.sim.now < barrier:
-                shard.sim.run_until(barrier)
-            shard.submit(batch)
-            self._journal.append((barrier, batch))
-        if shard.sim.now < epoch_end:
-            shard.sim.run_until(epoch_end)
-        if probe is not None:
-            probe.lap("compute", began)
-        if speculated:
-            # Adaptive throttle, AIMD with a slow additive increase:
-            # a rollback halves the window toward zero (replay costs
-            # O(committed history), so risky overshoot must back off
-            # hard), and the window regrows by one only after a streak
-            # of confirmed speculations.  A sticky breaker stops risky
-            # speculation for good when rollbacks dominate — a
-            # pathological cell degrades to risk-free-only speculation
-            # instead of paying replays forever.
-            if rolled_back:
-                if not self._pinned:
-                    self.window //= 2
-                    self._commit_streak = 0
-                    if (self.stats["rollbacks"]
-                            >= _SPEC_BREAKER_ROLLBACKS
-                            and self.stats["speculation_commits"] * 2
-                            < self.stats["rollbacks"]):
-                        self.throttled = True
-                        self.window = 0
-            else:
-                self.stats["speculation_commits"] += 1
-                self._commit_streak += 1
-                if (not self.throttled and not self._pinned
-                        and self._commit_streak >= _SPEC_GROW_STREAK):
-                    self._commit_streak = 0
-                    self.window = min(self.window + 1, _SPEC_WINDOW_MAX)
-        self._frontier = epoch_end
-        self._reported = epoch_end
-        return shard.take_teardowns(upto=epoch_end)
-
-    def speculate_quantum(self):
-        """Free-run up to one lookahead past the clock, inside the
-        window; returns whether any progress was made.
-
-        The target is ``max(safe, frontier) + window * lookahead``:
-        everything below the coordinator's ``safe`` promise can never
-        roll back (so even a fully throttled shard keeps speculating
-        up to it), while the window bounds only the risky overshoot
-        beyond it.
-        """
-        shard = self.shard
-        if not shard.live:
-            # Nothing in flight: only daemon ticks remain, and those
-            # must not run past the cluster's natural end.
-            return False
-        sim = shard.sim
-        target = (max(self._safe, self._frontier)
-                  + self.window * self._lookahead)
-        if sim.now >= target:
-            return False
-        before = sim.events_dispatched
-        sim.run_until(min(target, sim.now + self._lookahead))
-        self.stats["speculated_events"] += sim.events_dispatched - before
-        return True
-
-    # ------------------------------------------------------------------
-    # fork-checkpoint hooks (worker processes only; see cluster.checkpoint)
-    # ------------------------------------------------------------------
-    def checkpointable(self):
-        """Whether this instant is commit-safe to fork a checkpoint at.
-
-        A checkpoint at local time T must sit at or below every input
-        it could ever be resumed against: future batch barriers are >=
-        max(committed frontier, ``safe``), and the finish horizon is >=
-        the final frontier, so T <= max(frontier, safe) is safe — with
-        the caveat that an *infinite* ``safe`` (placement done) is not
-        a barrier bound at all, and only T <= frontier guarantees T
-        stays below the global finish horizon.
-        """
-        now = self.shard.sim.now
-        if self._safe != float("inf"):
-            return now <= max(self._frontier, self._safe)
-        return now <= self._frontier
-
-    def mark_checkpoint(self):
-        """Parent-side bookkeeping right after a checkpoint fork.
-
-        The CoW image holds every journal entry already applied, so the
-        live journal shrinks to the (empty) suffix — committed-teardown
-        dedup is untouched because ``_reported`` still rides along and
-        :meth:`apply_resume` re-drops everything at or below it.
-        """
-        self._ckpt_time = self.shard.sim.now
-        self._ckpt_age = 0
-        self._journal = []
-        self.stats["checkpoints"] += 1
-
-    def pack_state(self):
-        """The per-shard handover payload a resumed checkpoint needs."""
-        return {
-            "journal": self._journal,
-            "frontier": self._frontier,
-            "safe": self._safe,
-            "reported": self._reported,
-            "ckpt_time": self._ckpt_time,
-            "ckpt_age": self._ckpt_age,
-            "window": self.window,
-            "throttled": self.throttled,
-            "streak": self._commit_streak,
-            "stats": self.stats,
-        }
-
-    def apply_resume(self, packed):
-        """Become the committed timeline again, inside a resumed child.
-
-        The fork image sits at the checkpoint instant with every
-        pre-checkpoint input applied; adopting the dead worker's
-        bookkeeping and replaying the journal *suffix* (then running to
-        the committed frontier) reproduces exactly the committed state
-        the conservative protocol would hold.  Teardowns regenerated on
-        the way were already reported by the dead image — ``upto
-        _reported`` drops them, so the coordinator's load vector never
-        sees a delta twice.
-        """
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        sim = self.shard.sim
-        before = sim.events_dispatched
-        self._journal = list(packed["journal"])
-        self._frontier = packed["frontier"]
-        self._safe = packed["safe"]
-        self._reported = packed["reported"]
-        self._ckpt_time = packed["ckpt_time"]
-        self._ckpt_age = packed["ckpt_age"]
-        self.window = packed["window"]
-        self.throttled = packed["throttled"]
-        self._commit_streak = packed["streak"]
-        self.stats = packed["stats"]
-        for submit_time, batch in self._journal:
-            if sim.now < submit_time:
-                sim.run_until(submit_time)
-            self.shard.submit(batch)
-        if sim.now < self._frontier:
-            sim.run_until(self._frontier)
-        self.shard.take_teardowns(upto=self._reported)
-        replayed = sim.events_dispatched - before
-        self.stats["replayed_events"] += replayed
-        self.stats["checkpoint_resumes"] += 1
-        _hist_add(self.stats["replay_distance_hist"], replayed)
-        if probe is not None:
-            probe.lap("checkpoint_resume", began)
-            probe.instant("checkpoint_resume")
-            probe.count("checkpoint_resumes")
-
-    def note_checkpoint_rollback(self, barrier):
-        """Dying-image accounting for a checkpoint-resolved conflict.
-
-        The conflicted step never runs here (the resumed child replays
-        it at the committed frontier, where it no longer conflicts), so
-        the rollback count, depth histogram, and AIMD back-off are
-        applied before the state packs itself into the handover.
-        """
-        self.stats["rollbacks"] += 1
-        probe = runtime.get_probe()
-        if probe is not None:
-            # The count must cross the handover (it rides pack()); the
-            # instant is recorded by the *resumed* child, which is the
-            # image the telemetry timeline keeps.
-            probe.count("rollbacks")
-        _hist_add(
-            self.stats["rollback_depth_hist"],
-            self.shard.sim.now - barrier,
-        )
-        if not self._pinned:
-            self.window //= 2
-            self._commit_streak = 0
-            if (self.stats["rollbacks"] >= _SPEC_BREAKER_ROLLBACKS
-                    and self.stats["speculation_commits"] * 2
-                    < self.stats["rollbacks"]):
-                self.throttled = True
-                self.window = 0
-
-    def resume_to(self, barrier):
-        """Coordinator-driven rollback for the no-checkpoint fallback:
-        discard speculation past max(barrier, frontier) by full replay.
-        Returns the shard's clock afterwards."""
-        target = max(barrier, self._frontier)
-        if self.shard.sim.now > target:
-            self._rollback(target)
-        return self.shard.sim.now
-
-    def _rollback(self, when):
-        """Rebuild the shard and replay its journal up to ``when``.
-
-        This is the O(committed history) fallback: it exists for
-        in-process groups and fork-less workers, whose journal is the
-        complete input history.  After a checkpoint truncated the
-        journal this replay would silently lose the prefix, so it
-        refuses — conflicts must resume through the checkpoint image
-        instead.
-        """
-        if self._ckpt_time is not None:
-            raise RuntimeError(
-                "full replay after checkpoint truncation would lose "
-                "the journal prefix; conflicts must resume from the "
-                "checkpoint image"
-            )
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        self.stats["rollbacks"] += 1
-        self.stats["full_replays"] += 1
-        _hist_add(
-            self.stats["rollback_depth_hist"],
-            self.shard.sim.now - when,
-        )
-        self.shard.discard()
-        self.shard = ClusterShard(**self._spec)
-        sim = self.shard.sim
-        sim.runtime_probe = probe
-        for submit_time, batch in self._journal:
-            sim.run_until(submit_time)
-            self.shard.submit(batch)
-        sim.run_until(when)
-        # The replayed shard regenerated every committed teardown;
-        # drop the ones the coordinator already saw.
-        self.shard.take_teardowns(upto=self._reported)
-        self.stats["replayed_events"] += sim.events_dispatched
-        _hist_add(
-            self.stats["replay_distance_hist"], sim.events_dispatched
-        )
-        if probe is not None:
-            probe.lap("rollback_replay", began)
-            probe.instant("rollback")
-            probe.count("rollbacks")
-
-    def drain(self):
-        """Run lifecycles to completion; returns the conservative end.
-
-        The speculated clock may sit past the last completion (a
-        quantum never stops mid-flight), so the reported end is
-        max(committed frontier, last lifecycle completion) — exactly
-        the ``sim.now`` a conservative shard lands on after its drain.
-        """
-        shard = self.shard
-        shard.sim.run()
-        return max(self._frontier, shard.last_lifecycle_end)
-
-    def finish(self, horizon):
-        """Align to the global ``horizon`` and return the shard result.
-
-        A clock that overshot the horizon is rolled back by replay —
-        the rebuilt simulator then counts exactly the events of the
-        committed timeline, so merged event totals match the
-        single-process run byte-for-byte.
-        """
-        shard = self.shard
-        if shard.sim.now > horizon:
-            self._rollback(horizon)
-            shard = self.shard
-        elif shard.sim.now < horizon:
-            shard.sim.run_until(horizon)
-        result = shard.result()
-        result["sync"] = dict(self.stats, throttled=int(self.throttled))
-        return result
-
-
-#: Per-shard sync counters that sum across shards; ``epochs`` and
-#: ``checkpoint_age_epochs`` take the max instead (they are per-shard
-#: high-water marks of the same global grid), and the ``*_hist`` keys
-#: are power-of-two histograms whose buckets merge by addition.
-_SYNC_SUM_KEYS = (
-    "rollbacks",
-    "speculated_events",
-    "replayed_events",
-    "speculation_commits",
-    "checkpoints",
-    "checkpoint_resumes",
-    "full_replays",
-)
-_SYNC_HIST_KEYS = ("rollback_depth_hist", "replay_distance_hist")
-
-
-def _fold_sync_stats(results, barrier_wait_s):
-    """Pop per-shard ``sync`` stats off ``results`` and aggregate them."""
-    stats = {
-        "epochs": 0,
-        "barrier_wait_s": barrier_wait_s,
-        "throttled_shards": 0,
-        "checkpoint_age_epochs": 0,
-    }
-    stats.update({key: 0 for key in _SYNC_SUM_KEYS})
-    stats.update({key: {} for key in _SYNC_HIST_KEYS})
-    for result in results:
-        shard_stats = result.pop("sync", None)
-        if not shard_stats:
-            continue
-        stats["epochs"] = max(stats["epochs"], shard_stats["epochs"])
-        stats["checkpoint_age_epochs"] = max(
-            stats["checkpoint_age_epochs"],
-            shard_stats.get("checkpoint_age_epochs", 0),
-        )
-        for key in _SYNC_SUM_KEYS:
-            stats[key] += shard_stats.get(key, 0)
-        for key in _SYNC_HIST_KEYS:
-            for bucket, count in shard_stats.get(key, {}).items():
-                stats[key][bucket] = stats[key].get(bucket, 0) + count
-        stats["throttled_shards"] += shard_stats["throttled"]
-    return stats
-
-
-# ----------------------------------------------------------------------
-# shard groups: the same protocol, in-process or over worker processes
-# ----------------------------------------------------------------------
-class _InProcessGroup:
-    """All shards in this process (workers=0, or inside a pool worker)."""
+    #: In-process shards never block on a pipe.
+    barrier_wait_s = 0.0
 
     def __init__(self, shard_specs):
-        self.shards = [ClusterShard(**spec) for _, spec in shard_specs]
-        self.epochs = 0
+        self.shards = {
+            shard_id: ClusterShard(**spec) for shard_id, spec in shard_specs
+        }
+        # Wall-clock plane: let each engine publish its live frontier.
+        # Telemetry-only — the probe never feeds back into the sim.
+        probe = runtime.get_probe()
+        if probe is not None:
+            for shard in self.shards.values():
+                shard.sim.runtime_probe = probe
 
-    def submit(self, batches):
-        for shard_id, batch in batches.items():
-            self.shards[shard_id].submit(batch)
-
-    def run_until(self, when):
-        self.epochs += 1
+    def step(self, barrier, until, batches):
+        """Spawn ``batches`` at ``barrier``, advance every shard to
+        ``until``; returns the load digest of the teardowns on the way."""
         deltas = []
-        for shard in self.shards:
-            deltas.extend(shard.run_until(when))
-        return deltas
+        for shard_id, shard in self.shards.items():
+            deltas.extend(shard.step(barrier, until, batches.get(shard_id)))
+        return wire.digest_deltas(deltas)
 
     def drain(self):
-        return [shard.drain() for shard in self.shards]
-
-    def checkpoint(self):
-        """Conservative shards never speculate: nothing to checkpoint."""
-        return [False for _ in self.shards]
-
-    def resume(self, barrier):
-        """No speculation means every clock already sits at or below
-        any committed barrier; report the clocks unchanged."""
+        """Run every lifecycle to completion: ``{shard_id: end time}``."""
         return {
-            shard_id: shard.sim.now
-            for shard_id, shard in enumerate(self.shards)
+            shard_id: shard.drain() for shard_id, shard in self.shards.items()
         }
 
     def finish(self, horizon):
-        results = []
-        for shard in self.shards:
+        """Align every shard to ``horizon``: ``{shard_id: result}``."""
+        results = {}
+        for shard_id, shard in self.shards.items():
             if shard.sim.now < horizon:
                 shard.sim.run_until(horizon)
-            results.append(shard.result())
-        stats = _fold_sync_stats(results, 0.0)
-        stats["epochs"] = self.epochs
-        return results, stats
+            results[shard_id] = shard.result()
+        return results
 
     def close(self):
-        self.shards = []
+        self.shards = {}
 
 
-class _OptimisticInProcessGroup:
-    """All shards in this process, speculating eagerly after each step.
+def _worker_main(conn, shard_specs):
+    """Worker entry: build the assigned shards and serve the protocol.
 
-    Wall-clock-wise, in-process speculation buys nothing — there is no
-    idle core to soak while the coordinator thinks — but it executes
-    the identical protocol the worker processes run, and it does so
-    *deterministically*: speculation depth depends only on the adaptive
-    window, never on OS timing.  That is what makes rollback counts
-    assertable in tests.
-
-    The pipelined coordinator's split ``step_send``/``step_recv`` is
-    served by executing each step the moment it is sent and queueing
-    its digest — in-process there is no one to overlap with, so
-    immediate execution is both the simplest and the deterministic
-    reading of "two requests in flight".
-    """
-
-    def __init__(self, shard_specs, lookahead):
-        self.states = [
-            _SpeculativeShard(spec, lookahead) for _, spec in shard_specs
-        ]
-        self._replies = []
-
-    def step_send(self, barrier, epoch_end, safe, batches):
-        deltas = []
-        for shard_id, state in enumerate(self.states):
-            deltas.extend(
-                state.step(barrier, epoch_end, safe, batches.get(shard_id))
-            )
-        for state in self.states:
-            while state.speculate_quantum():
-                pass
-        self._replies.append(wire.digest_deltas(deltas))
-
-    def step_recv(self):
-        return self._replies.pop(0)
-
-    def step(self, barrier, epoch_end, safe, batches):
-        self.step_send(barrier, epoch_end, safe, batches)
-        return self.step_recv()
-
-    def drain(self):
-        return [state.drain() for state in self.states]
-
-    def checkpoint(self):
-        """In-process shards cannot sacrifice their own interpreter, so
-        there is no image to fork — rollback stays full replay."""
-        return [False for _ in self.states]
-
-    def resume(self, barrier):
-        """Fallback resume: full replay for every shard whose clock
-        speculated past ``barrier``; returns the clocks afterwards."""
-        return {
-            shard_id: state.resume_to(barrier)
-            for shard_id, state in enumerate(self.states)
-        }
-
-    def finish(self, horizon):
-        results = [state.finish(horizon) for state in self.states]
-        return results, _fold_sync_stats(results, 0.0)
-
-    def close(self):
-        self.states = []
-
-
-def _shard_worker_main(conn, shard_specs, sync="conservative",
-                       lookahead=0.0, checkpoint_every=None,
-                       eager=False, use_fork=True):
-    """Worker entry: serve the protocol for the assigned shards.
-
-    ``hierarchical`` is the optimistic worker protocol verbatim — the
-    tree topology and the pipelined coordinator live entirely above
-    this loop (relays speak the same ops), so a leaf worker cannot
-    tell the modes apart.
+    Blocked time on the pipe counts as barrier wait; each op's own
+    work counts as compute.  Any exception ships to the coordinator as
+    an ``error`` reply carrying the traceback.
     """
     try:
+        probe = None
         if runtime.probes_enabled():
             name = multiprocessing.current_process().name
             probe = RuntimeProbe(
@@ -991,364 +270,38 @@ def _shard_worker_main(conn, shard_specs, sync="conservative",
             )
             runtime.set_probe(probe)
             wire.set_probe(probe)
-        if sync in ("optimistic", "hierarchical"):
-            _optimistic_worker_loop(
-                conn, shard_specs, lookahead,
-                checkpoint_every=checkpoint_every, eager=eager,
-                use_fork=use_fork,
-            )
-        else:
-            _conservative_worker_loop(conn, shard_specs)
-    except BaseException as exc:  # noqa: BLE001 - ship it to the parent
-        try:
-            wire.send(
-                conn, ("error", f"{exc!r}\n{traceback.format_exc()}")
-            )
-        except OSError:  # pragma: no cover - parent already gone
-            pass
-
-
-def _conservative_worker_loop(conn, shard_specs):
-    """Lockstep worker: build the assigned shards, serve barrier ops."""
-    shards = {shard_id: ClusterShard(**spec)
-              for shard_id, spec in shard_specs}
-    probe = runtime.get_probe()
-    if probe is not None:
-        for shard in shards.values():
-            shard.sim.runtime_probe = probe
-    wait_s = 0.0
-    epochs = 0
-    while True:
-        waited = time.perf_counter()
-        if probe is not None:
-            # Separate the blocked wait from the decode: poll first so
-            # barrier_wait covers only the blocking, and wire.recv's
-            # internal ipc_recv lap covers only the decode.
-            conn.poll(None)
-            probe.lap("barrier_wait", waited)
-        message = wire.recv(conn)
-        wait_s += time.perf_counter() - waited
-        op = message[0]
-        began = probe.begin() if probe is not None else 0.0
-        if op == "submit":
-            for shard_id, batch in message[1].items():
-                shards[shard_id].submit(batch)
-            wire.send(conn, ("ok", None), piggyback=True)
-        elif op == "run_until":
-            epochs += 1
-            deltas = []
-            for shard in shards.values():
-                deltas.extend(shard.run_until(message[1]))
-            if probe is not None:
-                probe.lap("compute", began)
-                probe.count("epochs")
-            wire.send(conn, ("ok", deltas), piggyback=True)
-        elif op == "drain":
-            reply = {sid: shard.drain()
-                     for sid, shard in shards.items()}
-            if probe is not None:
-                probe.lap("compute", began)
-            wire.send(conn, ("ok", reply), piggyback=True)
-        elif op == "checkpoint":
-            # Lockstep shards never speculate: nothing to checkpoint.
-            wire.send(conn, ("ok", False), piggyback=True)
-        elif op == "resume":
-            wire.send(
-                conn,
-                ("ok", {sid: shard.sim.now
-                        for sid, shard in shards.items()}),
-                piggyback=True,
-            )
-        elif op == "finish":
-            results = {}
-            for shard_id, shard in shards.items():
-                if shard.sim.now < message[1]:
-                    shard.sim.run_until(message[1])
-                results[shard_id] = shard.result()
-            if probe is not None:
-                probe.lap("compute", began)
-            wire.send(conn, ("ok", {"results": results, "wait_s": wait_s,
-                                    "epochs": epochs}), piggyback=True)
-        elif op == "stop":
-            wire.send(conn, ("ok", None), piggyback=True)
-            return
-        else:  # pragma: no cover - protocol guard
-            wire.send(conn, ("error", f"unknown op {op!r}"))
-            return
-
-
-def _apply_handover(states, handover, ckpt):
-    """Turn a resumed checkpoint child into the committed worker.
-
-    Replays each shard's journal suffix and returns the decoded pending
-    request — the one whose conflict killed the previous image — for
-    the loop to process next (its reply has not been sent yet).
-
-    The replayed suffix is credited toward the capture cadence: under
-    a rollback storm conflicts land faster than any cadence, and a
-    resumed child restarting its count at zero would keep serving an
-    ever-staler checkpoint image — the replay suffix, and with it the
-    rollback cost, would quietly grow back to O(history).  With the
-    credit, the first commit-safe step after a deep resume re-captures
-    at the new frontier and the suffix stays short.
-    """
-    probe = runtime.get_probe()
-    if probe is not None and handover.get("probe") is not None:
-        # Adopt the dead image's cumulative accounting before the
-        # per-shard resumes below add their replay spans, then mark
-        # the rollback this handover resolved (the dying image's
-        # pending instants died with it).
-        probe.adopt(handover["probe"])
-        probe.instant("rollback")
-    for shard_id, packed in handover["shards"].items():
-        states[shard_id].apply_resume(packed)
-    ckpt.confirmed = max(
-        (len(state._journal) for state in states.values()), default=0
-    )
-    return wire.decode(handover["pending"])
-
-
-def _optimistic_worker_loop(conn, shard_specs, lookahead,
-                            checkpoint_every=None, eager=False,
-                            use_fork=True):
-    """Speculating worker: free-run whenever the pipe is quiet.
-
-    Every quantum re-polls the pipe, so a pending step message is
-    picked up within one lookahead of simulation; once every shard has
-    exhausted its window (or its live work), the loop blocks — and
-    only that blocked time counts as barrier wait.  ``eager`` trades
-    that overlap away for determinism: speculation runs to exhaustion
-    *before* the next blocking receive, so speculation depth (and with
-    it every rollback count) depends only on the adaptive window,
-    never on OS timing — that is what makes checkpoint behavior
-    assertable in tests and benchmarks.
-
-    With fork support (and unless ``checkpoint_every=0``) a
-    :class:`~repro.cluster.checkpoint.ForkCheckpointer` bounds
-    rollback to the journal suffix; conflicts then *leave this
-    process*: the dying image packs its bookkeeping and the pending
-    request into a handover, and the loop continues inside the resumed
-    child with ``pending`` set (the fork happened after the previous
-    reply was sent, so no reply is ever duplicated or lost).
-    """
-    states = {shard_id: _SpeculativeShard(spec, lookahead)
-              for shard_id, spec in shard_specs}
-    probe = runtime.get_probe()
-    ckpt = None
-    if (use_fork and checkpoint_every != 0
-            and fork_checkpoints_supported()):
-        ckpt = ForkCheckpointer(states, checkpoint_every)
-    wait_s = 0.0
-    pending = None
-    while True:
-        if pending is not None:
-            message, pending = pending, None
-        elif eager:
-            began = probe.begin() if probe is not None else 0.0
-            moved = False
-            for state in states.values():
-                while state.speculate_quantum():
-                    moved = True
-            if probe is not None and moved:
-                probe.lap("speculate", began)
+        shards = _ShardSet(shard_specs)
+        wait_s = 0.0
+        while True:
             waited = time.perf_counter()
             if probe is not None:
+                # Separate the blocked wait from the decode: poll first
+                # so barrier_wait covers only the blocking, and
+                # wire.recv's internal ipc_recv lap only the decode.
                 conn.poll(None)
                 probe.lap("barrier_wait", waited)
             message = wire.recv(conn)
             wait_s += time.perf_counter() - waited
-        else:
-            while not conn.poll(0):
-                began = probe.begin() if probe is not None else 0.0
-                moved = False
-                for state in states.values():
-                    if state.speculate_quantum():
-                        moved = True
-                if moved:
-                    if probe is not None:
-                        probe.lap("speculate", began)
-                else:
-                    waited = time.perf_counter()
-                    conn.poll(None)
-                    wait_s += time.perf_counter() - waited
-                    if probe is not None:
-                        probe.lap("barrier_wait", waited)
-                    break
-            message = wire.recv(conn)
-        op = message[0]
-        if op == "step":
-            _op, barrier, epoch_end, safe, batches = message
-            if ckpt is not None and ckpt.live is not None:
-                conflicted = [
-                    state for shard_id, state in states.items()
-                    if batches.get(shard_id)
-                    and state.shard.sim.now > barrier
-                ]
-                if conflicted:
-                    for state in conflicted:
-                        state.note_checkpoint_rollback(barrier)
-                    # Never returns: the resumed child re-enters this
-                    # loop with the same message pending, now at the
-                    # committed frontier where it no longer conflicts.
-                    ckpt.hand_over(wire.encode(message))
-            deltas = []
-            for shard_id, state in states.items():
-                deltas.extend(
-                    state.step(barrier, epoch_end, safe,
-                               batches.get(shard_id))
-                )
-            # Reply with the load digest, not the raw deltas: the
-            # coordinator applies every reply before the next placement
-            # decision, so per-host freed counts carry exactly the
-            # information placement consumes — and relays can merge
-            # digests by addition on the way up.
-            if probe is not None:
-                probe.count("epochs")
-                if lookahead > 0:
-                    probe.gauge(
-                        "frontier_epoch", round(epoch_end / lookahead)
-                    )
-            wire.send(conn, ("loads", wire.digest_deltas(deltas)),
-                      piggyback=True)
-            if ckpt is not None:
-                resumed = ckpt.after_step()
-                if resumed is not None:
-                    pending = _apply_handover(states, resumed, ckpt)
-        elif op == "checkpoint":
-            taken = False
-            if ckpt is not None and all(
-                state.checkpointable() for state in states.values()
-            ):
-                resumed = ckpt.capture()
-                if resumed is not None:
-                    # Resumed child of this very capture: the parent
-                    # already replied to the checkpoint op before it
-                    # died, so only the pending request needs serving.
-                    pending = _apply_handover(states, resumed, ckpt)
-                    continue
-                taken = True
-            wire.send(conn, ("ok", taken), piggyback=True)
-        elif op == "resume":
-            barrier = message[1]
-            over = [
-                state for state in states.values()
-                if state.shard.sim.now > max(barrier, state._frontier)
-            ]
-            if over and ckpt is not None and ckpt.live is not None:
-                for state in over:
-                    state.note_checkpoint_rollback(barrier)
-                ckpt.hand_over(wire.encode(message))
-            clocks = {sid: state.resume_to(barrier)
-                      for sid, state in states.items()}
-            wire.send(conn, ("ok", clocks), piggyback=True)
-        elif op == "drain":
+            op = message[0]
             began = probe.begin() if probe is not None else 0.0
-            reply = {sid: state.drain()
-                     for sid, state in states.items()}
+            if op == "step":
+                reply = ("loads", shards.step(*message[1:]))
+            elif op == "drain":
+                reply = ("ok", shards.drain())
+            elif op == "finish":
+                reply = ("ok", {"results": shards.finish(message[1]),
+                                "wait_s": wait_s})
+            elif op == "stop":
+                wire.send(conn, ("ok", None), piggyback=True)
+                return
+            else:
+                raise ValueError(f"unknown op {op!r}")
             if probe is not None:
                 probe.lap("compute", began)
-            wire.send(conn, ("ok", reply), piggyback=True)
-        elif op == "finish":
-            horizon = message[1]
-            if ckpt is not None and ckpt.live is not None:
-                over = [state for state in states.values()
-                        if state.shard.sim.now > horizon]
-                if over:
-                    for state in over:
-                        state.note_checkpoint_rollback(horizon)
-                    ckpt.hand_over(wire.encode(message))
-            results = {sid: state.finish(horizon)
-                       for sid, state in states.items()}
-            if ckpt is not None:
-                ckpt.close()
-                ckpt = None
-            wire.send(conn, ("ok", {"results": results, "wait_s": wait_s,
-                                    "epochs": 0}), piggyback=True)
-        elif op == "stop":
-            if ckpt is not None:
-                ckpt.close()
-            wire.send(conn, ("ok", None), piggyback=True)
-            return
-        else:  # pragma: no cover - protocol guard
-            wire.send(conn, ("error", f"unknown op {op!r}"))
-            return
-
-
-def _spawn_workers(context_name, chunks, sync, lookahead, checkpoint_every,
-                   eager, fan_in, label="repro-shard"):
-    """Spawn the processes serving ``chunks`` (one shard-spec list each).
-
-    Flat star when the chunk count fits the fan-in (or ``fan_in`` is
-    None): one leaf worker per chunk.  Otherwise the chunks are grouped
-    under ``fan_in`` relay processes — each relay re-enters this
-    function for its own sub-tree, so depth grows logarithmically and
-    no node ever serves more than ``fan_in`` pipes.  Returns
-    ``(procs, conns, shard_ids_per_conn)``.
-    """
-    context = multiprocessing.get_context(context_name)
-    # Fork checkpoints need the worker itself to be fork-started: a
-    # spawn context stands in for platforms without os.fork, so its
-    # workers keep the full journal and roll back by replay.
-    use_fork = context_name == "fork"
-    procs = []
-    conns = []
-    owners = []
-    if fan_in is not None and len(chunks) > fan_in:
-        groups = [chunks[index::fan_in] for index in range(fan_in)]
-        for index, group_chunks in enumerate(groups):
-            parent_conn, child_conn = context.Pipe()
-            proc = context.Process(
-                target=_relay_main,
-                args=(child_conn, group_chunks, sync, lookahead,
-                      checkpoint_every, eager, fan_in, context_name),
-                name=f"{label}-relay-{index}",
-            )
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-            owners.append([shard_id for chunk in group_chunks
-                           for shard_id, _ in chunk])
-        return procs, conns, owners
-    for index, chunk in enumerate(chunks):
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_shard_worker_main,
-            args=(child_conn, chunk, sync, lookahead,
-                  checkpoint_every, eager, use_fork),
-            name=f"{label}-worker-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        procs.append(proc)
-        conns.append(parent_conn)
-        owners.append([shard_id for shard_id, _ in chunk])
-    return procs, conns, owners
-
-
-def _relay_main(conn, chunks, sync, lookahead, checkpoint_every, eager,
-                fan_in, context_name):
-    """Relay entry: aggregate a sub-tree of workers behind one pipe."""
-    try:
-        if runtime.probes_enabled():
-            name = multiprocessing.current_process().name
-            probe = RuntimeProbe(name.replace("repro-shard-", ""))
-            runtime.set_probe(probe)
-            wire.set_probe(probe)
-            # Children's piggybacked records buffer here and ride this
-            # relay's next upward reply — the tree reduction costs the
-            # telemetry plane no extra frames.
-            wire.set_telemetry_sink(RecordBuffer())
-        procs, conns, owners = _spawn_workers(
-            context_name, chunks, sync, lookahead, checkpoint_every,
-            eager, fan_in, label=multiprocessing.current_process().name,
-        )
-        owner = {}
-        for index, shard_ids in enumerate(owners):
-            for shard_id in shard_ids:
-                owner[shard_id] = index
-        _relay_loop(conn, procs, conns, owner)
-    except BaseException as exc:  # noqa: BLE001 - ship it to the parent
+                if op == "step":
+                    probe.count("epochs")
+            wire.send(conn, reply, piggyback=True)
+    except Exception as exc:  # noqa: BLE001 - ship it to the parent
         try:
             wire.send(
                 conn, ("error", f"{exc!r}\n{traceback.format_exc()}")
@@ -1357,284 +310,103 @@ def _relay_main(conn, chunks, sync, lookahead, checkpoint_every, eager,
             pass
 
 
-def _relay_loop(parent, procs, conns, owner):
-    """Serve the shard-group protocol by fan-out and tree reduction.
-
-    A relay is protocol-transparent: it routes batch payloads down by
-    shard ownership, reduces the children's replies (digests merge by
-    per-host addition, result/clock dicts by union, wait by sum), and
-    answers with exactly the frame a leaf worker would — so the parent,
-    which may itself be a relay, cannot tell tree depth apart.
-
-    Steps forward opportunistically at depth 2: if the parent already
-    streamed a follow-up step (the pipelined coordinator's batchless
-    empty-epoch jump), it is routed down *before* blocking on the first
-    step's replies, so leaf workers cross both epochs without a relay
-    round-trip between them.  Replies still flow up strictly in request
-    order — the pipelining is invisible to everything above.
-    """
-    probe = runtime.get_probe()
-
-    def route(batches):
-        routed = [{} for _ in conns]
-        for shard_id, batch in batches.items():
-            routed[owner[shard_id]][shard_id] = batch
-        return routed
-
-    def forward_step(message):
-        _op, barrier, epoch_end, safe, batches = message
-        for conn, payload in zip(conns, route(batches)):
-            wire.send(conn, ("step", barrier, epoch_end, safe, payload))
-
-    def gather():
-        replies = []
-        for conn in conns:
-            if probe is not None:
-                waited = probe.begin()
-                conn.poll(None)
-                probe.lap("barrier_wait", waited)
-            reply = wire.recv(conn)
-            if reply[0] == "error":
-                raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-            replies.append(reply[1])
-        return replies
-
-    def recv_parent():
-        if probe is not None:
-            waited = probe.begin()
-            parent.poll(None)
-            probe.lap("barrier_wait", waited)
-        return wire.recv(parent)
-
-    backlog = []
-    while True:
-        message = backlog.pop(0) if backlog else recv_parent()
-        op = message[0]
-        if op == "step":
-            forwarded = 1
-            forward_step(message)
-            if parent.poll(0):
-                follow = wire.recv(parent)
-                if follow[0] == "step":
-                    forward_step(follow)
-                    forwarded += 1
-                else:
-                    backlog.append(follow)
-            for _ in range(forwarded):
-                wire.send(
-                    parent, ("loads", wire.merge_digests(gather())),
-                    piggyback=True,
-                )
-        elif op == "submit":
-            for conn, payload in zip(conns, route(message[1])):
-                wire.send(conn, ("submit", payload))
-            gather()
-            wire.send(parent, ("ok", None), piggyback=True)
-        elif op == "run_until":
-            for conn in conns:
-                wire.send(conn, message)
-            deltas = []
-            for payload in gather():
-                deltas.extend(payload)
-            wire.send(parent, ("ok", deltas), piggyback=True)
-        elif op == "checkpoint":
-            for conn in conns:
-                wire.send(conn, message)
-            flags = []
-            for payload in gather():
-                if isinstance(payload, list):
-                    flags.extend(payload)
-                else:
-                    flags.append(bool(payload))
-            wire.send(parent, ("ok", flags), piggyback=True)
-        elif op in ("resume", "drain"):
-            for conn in conns:
-                wire.send(conn, message)
-            merged = {}
-            for payload in gather():
-                merged.update(payload)
-            wire.send(parent, ("ok", merged), piggyback=True)
-        elif op == "finish":
-            for conn in conns:
-                wire.send(conn, message)
-            results = {}
-            wait_s = 0.0
-            epochs = 0
-            for payload in gather():
-                results.update(payload["results"])
-                wait_s += payload["wait_s"]
-                epochs = max(epochs, payload["epochs"])
-            wire.send(parent, ("ok", {"results": results,
-                                      "wait_s": wait_s,
-                                      "epochs": epochs}),
-                      piggyback=True)
-        elif op == "stop":
-            for conn in conns:
-                wire.send(conn, ("stop", None))
-            for conn in conns:
-                wire.recv(conn)
-            for proc in procs:
-                proc.join(timeout=5)
-            wire.send(parent, ("ok", None), piggyback=True)
-            return
-        else:  # pragma: no cover - protocol guard
-            wire.send(parent, ("error", f"unknown op {op!r}"))
-            return
-
-
 class _WorkerGroup:
-    """Shards spread over ``workers`` forked processes.
+    """Shards spread over ``workers`` forked processes, a flat star.
 
     Shard-to-process mapping is a pure convenience: every shard is a
     deterministic object, so results are invariant to how many processes
-    serve them.  Protocol messages travel struct-packed
-    (:mod:`repro.cluster.wire`); after a checkpoint handover the
-    process behind a pipe is a different PID, but the Connection — and
-    the bounded-outstanding-request framing on it — carries over
-    untouched, so the group never needs to know.
-
-    With ``fan_in`` set and more workers than the fan-in, the pipes
-    below are relay sub-trees instead of leaf workers — same protocol,
-    fewer pipes on the coordinator's serial path.
+    serve them.  A broken pipe or an early EOF on any worker's pipe
+    becomes a :class:`RuntimeError` naming the worker and its shards.
     """
 
-    def __init__(self, shard_specs, workers, sync="conservative",
-                 lookahead=0.0, checkpoint_every=None, context=None,
-                 eager=False, fan_in=None):
-        context_name = context or "fork"
-        chunks = [shard_specs[index::workers] for index in range(workers)]
-        chunks = [chunk for chunk in chunks if chunk]
-        self._procs, self._conns, owners = _spawn_workers(
-            context_name, chunks, sync, lookahead, checkpoint_every,
-            eager, fan_in,
-        )
+    def __init__(self, shard_specs, workers):
+        context = multiprocessing.get_context("fork")
+        self._procs = []
+        self._conns = []
+        self._shard_ids = []
         self._owner = {}
-        for index, shard_ids in enumerate(owners):
-            for shard_id in shard_ids:
-                self._owner[shard_id] = index
+        #: Blocked-on-pipe seconds summed over workers (set by finish).
+        self.barrier_wait_s = 0.0
+        try:
+            for index in range(workers):
+                chunk = shard_specs[index::workers]
+                parent_conn, child_conn = context.Pipe()
+                proc = context.Process(
+                    target=_worker_main, args=(child_conn, chunk),
+                    name=f"repro-shard-worker-{index}",
+                )
+                proc.start()
+                child_conn.close()
+                self._procs.append(proc)
+                self._conns.append(parent_conn)
+                self._shard_ids.append([shard_id for shard_id, _ in chunk])
+                for shard_id, _ in chunk:
+                    self._owner[shard_id] = index
+        except BaseException:
+            self.close()
+            raise
 
-    def _broadcast(self, message):
-        for conn in self._conns:
-            wire.send(conn, message)
-        replies = []
-        for conn in self._conns:
-            status, payload = wire.recv(conn)
-            if status != "ok":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{payload}")
-            replies.append(payload)
-        return replies
+    def _reply(self, index):
+        """Worker ``index``'s reply payload; a shipped error or a dead
+        pipe becomes a RuntimeError naming the worker's shards."""
+        who = f"shard worker {index} (shards {self._shard_ids[index]})"
+        try:
+            status, payload = wire.recv(self._conns[index])
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(f"{who} died: {exc!r}") from exc
+        if status == "error":
+            raise RuntimeError(f"{who} failed:\n{payload}")
+        return payload
 
-    def submit(self, batches):
+    def _exchange(self, messages):
+        """Send one message per worker, then collect every reply."""
+        for index, message in enumerate(messages):
+            try:
+                wire.send(self._conns[index], message)
+            except OSError:
+                # The worker is gone: read its shipped error, if any,
+                # or the EOF its exit left behind.
+                self._reply(index)
+                raise
+        return [self._reply(index) for index in range(len(self._conns))]
+
+    def step(self, barrier, until, batches):
         routed = [{} for _ in self._conns]
         for shard_id, batch in batches.items():
             routed[self._owner[shard_id]][shard_id] = batch
-        for conn, payload in zip(self._conns, routed):
-            wire.send(conn, ("submit", payload))
-        for conn in self._conns:
-            status, detail = wire.recv(conn)
-            if status != "ok":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{detail}")
-
-    def run_until(self, when):
-        deltas = []
-        for payload in self._broadcast(("run_until", when)):
-            deltas.extend(payload)
-        return deltas
-
-    def step_send(self, barrier, epoch_end, safe, batches):
-        """Ship one combined step without waiting for its replies.
-
-        The pipelined coordinator calls this back-to-back (at most two
-        outstanding per pipe — the depth the checkpoint handover
-        tolerates: one request in processing travels in the handover,
-        a queued one survives in the kernel pipe buffer); every send
-        must be matched by a later :meth:`step_recv`, in order.
-        """
-        routed = [{} for _ in self._conns]
-        for shard_id, batch in batches.items():
-            routed[self._owner[shard_id]][shard_id] = batch
-        for conn, payload in zip(self._conns, routed):
-            wire.send(conn, ("step", barrier, epoch_end, safe, payload))
-
-    def step_recv(self):
-        """Collect one step's replies: the merged load digest."""
-        digests = []
-        for conn in self._conns:
-            status, payload = wire.recv(conn)
-            if status != "loads":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{payload}")
-            digests.append(payload)
-        return wire.merge_digests(digests)
-
-    def step(self, barrier, epoch_end, safe, batches):
-        """Optimistic combined op: submit + advance + collect digests
-        in one round-trip (workers speculate while this one is in
-        flight on their idle siblings' pipes)."""
-        self.step_send(barrier, epoch_end, safe, batches)
-        return self.step_recv()
-
-    def checkpoint(self):
-        """Ask every worker to fork a checkpoint now (if commit-safe).
-
-        Returns one taken/skipped flag per worker — False where the
-        worker has no fork support, checkpoints are disabled, or some
-        shard's clock is not at a commit-safe instant.  A relay replies
-        with its whole sub-tree's flags as a list, flattened here.
-        """
-        flags = []
-        for taken in self._broadcast(("checkpoint", None)):
-            if isinstance(taken, list):
-                flags.extend(bool(flag) for flag in taken)
-            else:
-                flags.append(bool(taken))
-        return flags
-
-    def resume(self, barrier):
-        """Roll every shard that speculated past ``barrier`` back to
-        its committed state — through the checkpoint image where one
-        is live (killing the current worker image), by full replay
-        otherwise.  Returns ``{shard_id: clock}`` afterwards."""
-        clocks = {}
-        for payload in self._broadcast(("resume", barrier)):
-            clocks.update(payload)
-        return clocks
+        pairs = []
+        for digest in self._exchange(
+            [("step", barrier, until, payload) for payload in routed]
+        ):
+            pairs.extend(digest)
+        return pairs
 
     def drain(self):
         ends = {}
-        for payload in self._broadcast(("drain", None)):
+        for payload in self._exchange([("drain",)] * len(self._conns)):
             ends.update(payload)
-        return [ends[shard_id] for shard_id in sorted(ends)]
+        return ends
 
     def finish(self, horizon):
         results = {}
-        wait_s = 0.0
-        epochs = 0
-        for payload in self._broadcast(("finish", horizon)):
+        for payload in self._exchange(
+            [("finish", horizon)] * len(self._conns)
+        ):
             results.update(payload["results"])
-            wait_s += payload["wait_s"]
-            epochs = max(epochs, payload["epochs"])
-        ordered = [results[shard_id] for shard_id in sorted(results)]
-        stats = _fold_sync_stats(ordered, wait_s)
-        stats["epochs"] = max(stats["epochs"], epochs)
-        return ordered, stats
+            self.barrier_wait_s += payload["wait_s"]
+        return results
 
     def close(self):
+        """Stop every worker and reap it; leaves no child process."""
         for conn in self._conns:
             try:
-                wire.send(conn, ("stop", None))
+                wire.send(conn, ("stop",))
             except OSError:
                 pass
         for proc in self._procs:
-            # After a checkpoint handover the serving process is a
-            # descendant, not this Process object (which is already
-            # dead); the descendant exits on "stop" and is reaped by
-            # init, so the join below is still the right wait.
             proc.join(timeout=5)
             if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
+                proc.kill()
                 proc.join(timeout=5)
         for conn in self._conns:
             conn.close()
@@ -1642,9 +414,7 @@ class _WorkerGroup:
         self._conns = []
 
 
-def _make_group(shard_specs, workers, sync="conservative", lookahead=0.0,
-                checkpoint_every=None, context=None, eager=False,
-                fan_in=None):
+def _make_group(shard_specs, workers):
     if workers is None:
         workers = len(shard_specs)
     # A multiprocessing.Pool worker is daemonic and may not fork
@@ -1652,14 +422,8 @@ def _make_group(shard_specs, workers, sync="conservative", lookahead=0.0,
     if multiprocessing.current_process().daemon:
         workers = 0
     if workers < 1:
-        if sync in ("optimistic", "hierarchical"):
-            return _OptimisticInProcessGroup(shard_specs, lookahead)
-        return _InProcessGroup(shard_specs)
-    return _WorkerGroup(
-        shard_specs, min(workers, len(shard_specs)), sync, lookahead,
-        checkpoint_every=checkpoint_every, context=context, eager=eager,
-        fan_in=fan_in,
-    )
+        return _ShardSet(shard_specs)
+    return _WorkerGroup(shard_specs, min(workers, len(shard_specs)))
 
 
 # ----------------------------------------------------------------------
@@ -1669,10 +433,8 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
                         placement="least-loaded", app_name=None,
                         teardown=True, memory_bytes=None, spec=None,
                         vf_count=None, arrivals=None, workers=None,
-                        name_prefix="w", trace=None, sync="conservative",
-                        engine_stats=None, checkpoint_every=None,
-                        worker_context=None, eager_speculation=False,
-                        fan_in=None, telemetry=None):
+                        name_prefix="w", trace=None, engine_stats=None,
+                        telemetry=None):
     """Run one cluster churn burst over K shards; returns the summary.
 
     The summary has exactly the shape (and, for round-robin and for
@@ -1690,47 +452,22 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             bundle (``repro.obs``): each shard records its own hosts
             and the merge is a disjoint union of host-unique tracks.
             The returned summary never contains trace data.
-        sync: ``"conservative"`` (lockstep epoch barriers),
-            ``"optimistic"`` (speculate past the barrier, replay on
-            conflict), ``"hierarchical"`` (optimistic workers under a
-            relay tree with a pipelined coordinator), or ``"auto"``;
-            resolved by :func:`resolve_sync`.  Results are
-            byte-identical across modes — this knob moves wall-clock
-            only.
         engine_stats: Optional dict, filled with aggregated per-shard
-            wheel stats plus the sync-protocol counters (epochs,
-            barrier wait, rollbacks, speculated/replayed events,
-            checkpoints/resumes and their depth histograms).
-        checkpoint_every: Fork-checkpoint cadence for optimistic
-            workers, in confirmed epochs.  ``None`` adapts to the AIMD
-            window; ``0`` disables checkpoints (rollback falls back to
-            full replay from t=0).  Wall-clock only — results are
-            invariant to this knob.
-        worker_context: multiprocessing start-method name for the
-            worker processes (default ``"fork"``).  ``"spawn"``
-            exercises the no-fork-checkpoint fallback path.
-        eager_speculation: Speculate to window exhaustion *before*
-            blocking on the next protocol message instead of racing
-            the pipe.  Deterministic rollback counts (for tests and
-            benches) at the cost of the overlap the racing loop buys.
-        fan_in: Relay-tree fan-in for hierarchical sync (``None`` =
-            :data:`RELAY_FAN_IN`).  A relay layer forms only when the
-            worker count exceeds it.  Wall-clock only — results are
-            invariant to this knob.
+            wheel stats plus the protocol counters: ``sync_epochs``
+            (steps sent), ``sync_barrier_wait_s``, the coordinator's
+            ``sync_coordinator_{wait,place,reduce}_s`` and
+            ``sync_placement_heap_ops``.
         telemetry: Optional dict, filled with the wall-clock telemetry
             snapshot (``repro.obs.runtime``): per-process phase
-            totals, spans, instants and wire accounting for the
-            coordinator, every relay, and every worker.  Passing it
-            (or setting ``REPRO_RUNTIME_PROBES=1``) enables the
-            probes; either way results stay byte-identical — the
-            telemetry-invariance CI gate holds this plane to the same
-            contract as every other wall-clock knob.
+            totals, spans and wire accounting for the coordinator and
+            every worker.  Passing it (or setting
+            ``REPRO_RUNTIME_PROBES=1``) enables the probes; either way
+            results stay byte-identical.
         Other arguments: as for ``run_cluster_cell``.
     """
     if concurrency <= 0:
         raise ValueError(f"concurrency must be positive, got {concurrency}")
     shards = min(shards, hosts)
-    sync = resolve_sync(sync, shards=shards, placement=placement)
     bounds = partition_hosts(hosts, shards)
     if arrivals is None:
         arrivals = ArrivalPattern("burst")
@@ -1763,8 +500,6 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             host_shard[host_index] = shard_id
 
     lookahead = min_startup_lookahead(spec)
-    if fan_in is None and sync == "hierarchical":
-        fan_in = RELAY_FAN_IN
     trace_coordinator = trace is not None and os.environ.get(
         "REPRO_TRACE_COORDINATOR", ""
     ) not in ("", "0")
@@ -1773,9 +508,9 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
     aggregator = None
     coord_probe = None
     if probes:
-        # Workers decide from the environment (inherited across fork
-        # and spawn starts), so an explicit ``telemetry=`` request
-        # must arm it before the group spawns; restored below.
+        # Workers decide from the environment (inherited across fork),
+        # so an explicit ``telemetry=`` request must arm it before the
+        # group spawns; restored below.
         os.environ["REPRO_RUNTIME_PROBES"] = "1"
         aggregator = TelemetryAggregator()
         coord_probe = RuntimeProbe("coordinator")
@@ -1787,32 +522,21 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
     stats = _CoordinatorStats(record_spans=trace_coordinator,
                               probe=coord_probe)
     tracker = None
-    group = _make_group(
-        shard_specs, workers, sync, lookahead,
-        checkpoint_every=checkpoint_every, context=worker_context,
-        eager=eager_speculation,
-        fan_in=fan_in if sync == "hierarchical" else None,
-    )
+    group = None
     try:
+        group = _make_group(shard_specs, workers)
         if placement == "round-robin":
-            _place_round_robin(group, order, offsets, hosts, host_shard)
+            _place_round_robin(group, order, offsets, hosts, host_shard,
+                               stats)
         else:
             tracker = make_load_tracker(placement, hosts)
-            if sync == "conservative":
-                _place_epoch_barrier(
-                    group, order, offsets, host_shard, tracker,
-                    lookahead, stats,
-                )
-            else:
-                _place_epoch_steps(
-                    group, order, offsets, host_shard, tracker,
-                    lookahead, stats,
-                    pipelined=(sync == "hierarchical"),
-                )
+            _place_least_loaded(group, order, offsets, host_shard, tracker,
+                                lookahead, stats)
         ends = group.drain()
-        results, sync_stats = group.finish(max(ends))
+        results = group.finish(max(ends.values()))
     finally:
-        group.close()
+        if group is not None:
+            group.close()
         if probes:
             wire.set_probe(None)
             wire.set_telemetry_sink(None)
@@ -1822,27 +546,27 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
                 os.environ.pop("REPRO_RUNTIME_PROBES", None)
             else:
                 os.environ["REPRO_RUNTIME_PROBES"] = prev_probes_env
+    results = [results[shard_id] for shard_id in sorted(results)]
     if telemetry is not None and aggregator is not None:
         snapshot = aggregator.snapshot()
-        snapshot["mode"] = sync
+        snapshot["mode"] = "sharded"
         snapshot["shards"] = shards
         snapshot["lookahead"] = lookahead
         telemetry.update(snapshot)
-    sync_stats["mode"] = sync
-    sync_stats["coordinator_wait_s"] = stats.wait_s
-    sync_stats["coordinator_place_s"] = stats.place_s
-    sync_stats["coordinator_reduce_s"] = stats.reduce_s
-    sync_stats["placement_heap_ops"] = (
-        tracker.heap_ops if tracker is not None else 0
-    )
+    sync_stats = {
+        "epochs": stats.steps,
+        "barrier_wait_s": group.barrier_wait_s,
+        "coordinator_wait_s": stats.wait_s,
+        "coordinator_place_s": stats.place_s,
+        "coordinator_reduce_s": stats.reduce_s,
+        "placement_heap_ops": tracker.heap_ops if tracker is not None else 0,
+    }
     wheels = [result.pop("wheel_stats", None) for result in results]
     if engine_stats is not None:
         engine_stats.update(_aggregate_wheel_stats(wheels))
         engine_stats["shards"] = shards
-        engine_stats["sync_mode"] = sync
         for key, value in sync_stats.items():
-            if key != "mode":
-                engine_stats[f"sync_{key}"] = value
+            engine_stats[f"sync_{key}"] = value
     if trace is not None:
         from repro.obs.metrics import MetricsRegistry, merge_metrics
         from repro.obs.recorder import merge_dumps
@@ -1852,8 +576,7 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         )
         # Protocol counters ride the merged bundle's metrics (flat
         # metrics JSON / --metrics export), never its tracks — the
-        # Perfetto trace stays byte-identical across shard counts and
-        # sync modes.
+        # Perfetto trace stays byte-identical across shard counts.
         registry = MetricsRegistry()
         registry.ingest_sync_stats(sync_stats)
         trace["metrics"] = merge_metrics(
@@ -1896,17 +619,6 @@ def _aggregate_wheel_stats(wheels):
     return totals
 
 
-def _place_round_robin(group, order, offsets, hosts, host_shard):
-    """The sync-free plan: container n -> host n % H, one submit."""
-    batches = {}
-    for position, n in enumerate(order):
-        host_index = position % hosts
-        batches.setdefault(host_shard[host_index], []).append(
-            (n, offsets[n], host_index)
-        )
-    group.submit(batches)
-
-
 class _CoordinatorStats:
     """Wall-clock occupancy of the placement coordinator.
 
@@ -1914,23 +626,25 @@ class _CoordinatorStats:
     ``wait`` (blocked on shard replies), ``place`` (walking arrivals
     against the load tracker), ``reduce`` (applying reply digests to
     the tracker) — exported through the sync stats as
-    ``coordinator_*_s`` gauges.  With span recording enabled
-    (``REPRO_TRACE_COORDINATOR=1`` on a traced run) every bucket also
-    becomes a Perfetto span on a synthetic ``coordinator`` track, in
-    *wall-clock seconds since the run started* (every simulation track
-    is in virtual time — the coordinator has no virtual clock, and its
-    occupancy is precisely a wall-clock question).  The track is
-    opt-in because wall-clock spans differ run to run, and the default
-    trace bundle must stay byte-identical across shard counts.
+    ``coordinator_*_s`` gauges, and counts the steps sent.  With span
+    recording enabled (``REPRO_TRACE_COORDINATOR=1`` on a traced run)
+    every bucket also becomes a Perfetto span on a synthetic
+    ``coordinator`` track, in *wall-clock seconds since the run
+    started* (every simulation track is in virtual time — the
+    coordinator has no virtual clock, and its occupancy is precisely a
+    wall-clock question).  The track is opt-in because wall-clock spans
+    differ run to run, and the default trace bundle must stay
+    byte-identical across shard counts.
     """
 
-    __slots__ = ("wait_s", "place_s", "reduce_s", "_events", "_record",
-                 "_start", "_probe")
+    __slots__ = ("wait_s", "place_s", "reduce_s", "steps", "_events",
+                 "_record", "_start", "_probe")
 
     def __init__(self, record_spans=False, probe=None):
         self.wait_s = 0.0
         self.place_s = 0.0
         self.reduce_s = 0.0
+        self.steps = 0
         self._record = record_spans
         self._probe = probe
         self._events = []
@@ -1952,34 +666,30 @@ class _CoordinatorStats:
         return list(self._events)
 
 
-def _place_epoch_barrier(group, order, offsets, host_shard, tracker,
-                         lookahead, stats):
-    """Least-loaded over the fixed epoch grid (see module docstring)."""
+def _place_round_robin(group, order, offsets, hosts, host_shard, stats):
+    """The sync-free plan: container n -> host n % H, one step."""
+    batches = {}
+    for position, n in enumerate(order):
+        host_index = position % hosts
+        batches.setdefault(host_shard[host_index], []).append(
+            (n, offsets[n], host_index)
+        )
+    stats.steps += 1
+    group.step(0.0, 0.0, batches)
+
+
+def _place_least_loaded(group, order, offsets, host_shard, tracker,
+                        lookahead, stats):
+    """One step per epoch that has arrivals (see module docstring)."""
     # Epochs are tracked by integer index so barrier times are always
     # the product ``k * lookahead`` — products of increasing integers
     # with the same positive float are monotonic, so shard clocks never
     # step backwards even when ``start + lookahead`` would round
     # differently from ``(k + 1) * lookahead``.
-    barrier_epoch = 0
     position = 0
     count = len(order)
-
-    def advance(when):
-        began = time.perf_counter()
-        deltas = group.run_until(when)
-        began = stats.note("wait", began)
-        for _time, host_index in deltas:
-            tracker.release(host_index)
-        stats.note("reduce", began)
-
+    epoch = int(offsets[order[0]] // lookahead)
     while position < count:
-        epoch = int(offsets[order[position]] // lookahead)
-        if epoch > barrier_epoch:
-            # Jump over empty epochs in one step; the teardowns
-            # collected here all have time <= the epoch start, so the
-            # grid-visibility rule is unaffected by the jump.
-            advance(epoch * lookahead)
-            barrier_epoch = epoch
         epoch_end = (epoch + 1) * lookahead
         batches = {}
         began = time.perf_counter()
@@ -1992,106 +702,23 @@ def _place_epoch_barrier(group, order, offsets, host_shard, tracker,
             )
         stats.note("place", began)
         runtime.note_progress(position, count, epoch)
-        group.submit(batches)
-        advance(epoch_end)
-        barrier_epoch = epoch + 1
-
-
-def _place_epoch_steps(group, order, offsets, host_shard, tracker,
-                       lookahead, stats, pipelined=False):
-    """The conservative epoch walk, driven by combined ``step`` ops.
-
-    Placement decisions, their order, and the teardown-visibility rule
-    are identical to :func:`_place_epoch_barrier` — each step's digest
-    reply carries exactly the load decrements with time <= its epoch
-    end — so the placement sequence (and with it the results) is
-    byte-identical.  What changes is wall-clock: one round-trip per
-    epoch instead of two, and shards speculate into future epochs while
-    the coordinator computes.
-
-    ``pipelined`` adds depth-2 streaming: after shipping a batched
-    step, the next epoch's *batchless jump* (when the next arrival sits
-    beyond the epoch just stepped) is sent before the batched step's
-    replies are drained.  The message sequence is provably the serial
-    one — a jump's content is three copies of its barrier, independent
-    of any reply — and every reply is still applied to the tracker
-    before the next placement decision, so the load vector each pick
-    sees is identical.  Only the waiting overlaps.
-    """
-    barrier_epoch = 0
-    pending = 0
-    position = 0
-    count = len(order)
-    adversarial = _adversarial_safe()
-
-    def drain_replies():
-        nonlocal pending
-        while pending:
-            began = time.perf_counter()
-            digest = group.step_recv()
-            began = stats.note("wait", began)
-            for host_index, freed in digest:
-                tracker.release(host_index, freed)
-            stats.note("reduce", began)
-            pending -= 1
-
-    while position < count:
-        epoch = int(offsets[order[position]] // lookahead)
-        if epoch > barrier_epoch:
-            # Jump over empty epochs in one batchless step — no batch
-            # means no rollback can trigger; speculating shards simply
-            # commit whatever they ran ahead.  (Pipelined, this branch
-            # only fires for the very first arrival: later jumps were
-            # already streamed right behind their batched step.)
-            barrier = epoch * lookahead
-            group.step_send(barrier, barrier, barrier, {})
-            pending += 1
-            barrier_epoch = epoch
-        drain_replies()
-        barrier = epoch * lookahead
-        epoch_end = (epoch + 1) * lookahead
-        batches = {}
-        began = time.perf_counter()
-        while position < count and offsets[order[position]] < epoch_end:
-            n = order[position]
-            position += 1
-            host_index = tracker.pick()
-            batches.setdefault(host_shard[host_index], []).append(
-                (n, offsets[n], host_index)
-            )
-        stats.note("place", began)
-        runtime.note_progress(position, count, epoch)
-        # The arrival schedule is known up front, so the earliest
-        # barrier any *future* batch can carry is the next unplaced
-        # arrival's epoch start — shipped with the step as the shards'
-        # risk-free speculation bound (infinity once placement is done).
-        # The adversarial test mode under-promises (the current barrier
-        # — a valid bound, just maximally pessimistic), so pinned-open
-        # windows speculate riskily and conflict on nearly every
-        # batched epoch: the rollback-storm regime.
-        if adversarial:
-            safe = barrier
-        elif position < count:
-            safe = int(offsets[order[position]] // lookahead) * lookahead
-        else:
-            safe = float("inf")
-        group.step_send(barrier, epoch_end, safe, batches)
-        pending += 1
-        barrier_epoch = epoch + 1
-        if pipelined and position < count:
+        # Run straight to the next barrier that has arrivals: the
+        # teardowns reported on the way all precede it, so the next
+        # placement sees exactly what the epoch grid makes visible.
+        if position < count:
             next_epoch = int(offsets[order[position]] // lookahead)
-            if next_epoch > barrier_epoch:
-                # Stream the next jump behind the batched step: its
-                # payload is independent of the in-flight replies, and
-                # the jump's safe bound equals its own barrier exactly
-                # as the serial loop would send it.
-                jump = next_epoch * lookahead
-                group.step_send(jump, jump, jump, {})
-                pending += 1
-                barrier_epoch = next_epoch
-        if not pipelined:
-            drain_replies()
-    drain_replies()
+            until = next_epoch * lookahead
+        else:
+            next_epoch = epoch + 1
+            until = epoch_end
+        stats.steps += 1
+        began = time.perf_counter()
+        digest = group.step(epoch * lookahead, until, batches)
+        began = stats.note("wait", began)
+        for host_index, freed in digest:
+            tracker.release(host_index, freed)
+        stats.note("reduce", began)
+        epoch = next_epoch
 
 
 def _merge(results, hosts, concurrency):

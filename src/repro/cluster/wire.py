@@ -1,51 +1,44 @@
 """Packed binary wire format for the sharded runner's hot epoch path.
 
-The epoch protocol exchanges two message shapes thousands of times per
-run: coordinator -> worker *step/submit* messages carrying placement
-batches, and worker -> coordinator *delta* replies carrying teardown
-``(time, host_index)`` pairs.  Pickling those tagged tuples is the
-dominant per-epoch cost once the simulation itself is sharded away —
-every message pays pickle's opcode walk, per-object allocation, and
-memo bookkeeping for what is structurally three flat arrays and a
-header.
+The epoch protocol exchanges two message shapes once per epoch that
+has arrivals: coordinator -> worker *step* messages carrying placement
+batches, and worker -> coordinator *load digest* replies.  Pickling
+those tagged tuples would dominate the per-step cost once the
+simulation itself is sharded away — every message pays pickle's opcode
+walk, per-object allocation, and memo bookkeeping for what is
+structurally a few flat arrays and a header.
 
 This module packs exactly those shapes with :mod:`struct` headers and
 :mod:`array` payloads (native byte order — both ends of a pipe are the
 same machine), and falls back to pickle for everything else (drain,
-finish, stop, checkpoint control, error replies: a handful of messages
-per run).  The first byte of every frame discriminates:
+finish, stop, error replies: a handful of messages per run).  The first
+byte of every frame discriminates:
 
 ====  ==============================================================
 tag   frame
 ====  ==============================================================
-``S`` step: ``barrier, epoch_end, safe`` doubles + batch sections
-``B`` submit: batch sections only (conservative protocol)
-``R`` run_until: one double
-``D`` delta reply: count + times ``array('d')`` + hosts ``array('q')``
+``S`` step: ``barrier, until`` doubles + batch sections
 ``L`` load digest: count + hosts ``array('q')`` + counts ``array('q')``
 ``K`` bare ``("ok", None)`` acknowledgement
 ``P`` pickled payload (everything else)
 ``T`` telemetry envelope: inner frame + piggybacked probe records
 ====  ==============================================================
 
-The ``L`` frame is the optimistic/hierarchical step reply: instead of
-every individual ``(time, host)`` teardown pair, the worker ships the
-*digest* — how many containers left each host within the committed
-epoch, as sorted ``(host, freed_count)`` pairs
-(:func:`digest_deltas`).  The coordinator only ever used the deltas to
-decrement its load vector, and every delta in a step reply is applied
-before the next placement decision, so the digest carries exactly the
-information placement consumes — while shrinking the reply from
-O(teardowns) to O(distinct hosts) and, crucially, letting relay nodes
-in a hierarchical topology *merge* their children's replies
-(:func:`merge_digests`) into one frame instead of concatenating them.
+The ``L`` frame is the step reply: instead of every individual
+``(time, host)`` teardown pair, the worker ships the *digest* — how
+many containers left each host within the step, as sorted ``(host,
+freed_count)`` pairs (:func:`digest_deltas`).  The coordinator only
+ever uses the deltas to decrement its load vector, and every delta in
+a step reply is applied before the next placement decision, so the
+digest carries exactly the information placement consumes, in
+O(distinct hosts) instead of O(teardowns).
 
 A batch section is ``shard_id, count`` followed by three parallel
 arrays: global container indices (``q``), arrival offsets (``d``), and
 global host indices (``q``).  Floats round-trip exactly through
 ``struct``/``array`` doubles, so the encoding is byte-transparent to
 the placement protocol: decoded messages compare equal to the tuples
-the pickled protocol carried.
+that were encoded.
 
 Telemetry envelope (wall-clock plane, ``repro.obs.runtime``)
 ------------------------------------------------------------
@@ -54,17 +47,16 @@ When a :class:`~repro.obs.runtime.RuntimeProbe` is installed in this
 process (:func:`set_probe`), upward replies sent with
 ``send(..., piggyback=True)`` travel inside a ``T`` envelope: the
 inner frame's bytes, length-prefixed, followed by a pickled list of
-probe records — the worker's own flush plus, in a relay, whatever its
-children piggybacked since the last upward send
-(:func:`set_telemetry_sink` installs the buffer).  ``decode`` strips
-the envelope, routes the records to the local sink (the coordinator's
-:class:`~repro.obs.runtime.TelemetryAggregator`), and returns exactly
-the inner message — the protocol above never sees telemetry, which is
-what makes the plane results-invariant by construction.  The probe
-also accounts every frame by *inner* tag (frames, bytes, both
-directions) and attributes encode+write time to ``ipc_send`` and
-decode time to ``ipc_recv``; blocked receive time stays with the
-caller (that is barrier wait, not IPC cost).
+probe records (the worker's own flush).  ``decode`` strips the
+envelope, routes the records to the local sink (the coordinator's
+:class:`~repro.obs.runtime.TelemetryAggregator`, installed with
+:func:`set_telemetry_sink`), and returns exactly the inner message —
+the protocol above never sees telemetry, which is what makes the
+plane results-invariant by construction.  The probe also accounts
+every frame by *inner* tag (frames, bytes, both directions) and
+attributes encode+write time to ``ipc_send`` and decode time to
+``ipc_recv``; blocked receive time stays with the caller (that is
+barrier wait, not IPC cost).
 """
 
 import pickle
@@ -72,18 +64,16 @@ import struct
 import time
 from array import array
 
-_HEAD_STEP = struct.Struct("=ddd")
+_HEAD_STEP = struct.Struct("=dd")
 _HEAD_COUNT = struct.Struct("=I")
 _HEAD_BATCH = struct.Struct("=II")
-_HEAD_WHEN = struct.Struct("=d")
 
 #: Installed :class:`~repro.obs.runtime.RuntimeProbe` for this process
 #: (None = telemetry off: send/recv take the original zero-overhead
 #: path after one attribute read and a None check).
 _PROBE = None
 #: Callable fed each incoming envelope's record list (the
-#: coordinator's aggregator ``ingest``, or a relay's
-#: :class:`~repro.obs.runtime.RecordBuffer`).
+#: coordinator's aggregator ``ingest``).
 _SINK = None
 
 
@@ -111,15 +101,6 @@ def digest_deltas(deltas):
     counts = {}
     for _when, host in deltas:
         counts[host] = counts.get(host, 0) + 1
-    return sorted(counts.items())
-
-
-def merge_digests(digests):
-    """Combine child load digests into one (relay tree reduction)."""
-    counts = {}
-    for digest in digests:
-        for host, freed in digest:
-            counts[host] = counts.get(host, 0) + freed
     return sorted(counts.items())
 
 
@@ -163,16 +144,10 @@ def encode(message):
     """One protocol message -> bytes (packed when hot, pickled else)."""
     op = message[0]
     if op == "step":
-        _op, barrier, epoch_end, safe, batches = message
-        out = [b"S", _HEAD_STEP.pack(barrier, epoch_end, safe)]
+        _op, barrier, until, batches = message
+        out = [b"S", _HEAD_STEP.pack(barrier, until)]
         _pack_batches(out, batches)
         return b"".join(out)
-    if op == "submit":
-        out = [b"B"]
-        _pack_batches(out, message[1])
-        return b"".join(out)
-    if op == "run_until":
-        return b"R" + _HEAD_WHEN.pack(message[1])
     if op == "loads" and len(message) == 2:
         digest = message[1]
         hosts = array("q")
@@ -184,48 +159,20 @@ def encode(message):
             b"L", _HEAD_COUNT.pack(len(digest)),
             hosts.tobytes(), counts.tobytes(),
         ))
-    if op == "ok" and len(message) == 2:
-        payload = message[1]
-        if payload is None:
-            return b"K"
-        if isinstance(payload, list) and all(
-            isinstance(item, tuple) and len(item) == 2 for item in payload
-        ):
-            times = array("d")
-            hosts = array("q")
-            for when, host in payload:
-                times.append(when)
-                hosts.append(host)
-            return b"".join((
-                b"D", _HEAD_COUNT.pack(len(payload)),
-                times.tobytes(), hosts.tobytes(),
-            ))
+    if message == ("ok", None):
+        return b"K"
     return b"P" + pickle.dumps(message)
 
 
 def decode(payload):
-    """Bytes -> the exact tagged tuple the pickled protocol carried."""
+    """Bytes -> the exact tagged tuple that was encoded."""
     tag = payload[:1]
     if tag == b"S":
-        barrier, epoch_end, safe = _HEAD_STEP.unpack_from(payload, 1)
+        barrier, until = _HEAD_STEP.unpack_from(payload, 1)
         batches, _ = _unpack_batches(payload, 1 + _HEAD_STEP.size)
-        return ("step", barrier, epoch_end, safe, batches)
-    if tag == b"B":
-        batches, _ = _unpack_batches(payload, 1)
-        return ("submit", batches)
-    if tag == b"R":
-        return ("run_until", _HEAD_WHEN.unpack_from(payload, 1)[0])
+        return ("step", barrier, until, batches)
     if tag == b"K":
         return ("ok", None)
-    if tag == b"D":
-        (count,) = _HEAD_COUNT.unpack_from(payload, 1)
-        cursor = 1 + _HEAD_COUNT.size
-        times = array("d")
-        times.frombytes(payload[cursor:cursor + 8 * count])
-        cursor += 8 * count
-        hosts = array("q")
-        hosts.frombytes(payload[cursor:cursor + 8 * count])
-        return ("ok", list(zip(times, hosts)))
     if tag == b"L":
         (count,) = _HEAD_COUNT.unpack_from(payload, 1)
         cursor = 1 + _HEAD_COUNT.size
@@ -260,10 +207,9 @@ def send(conn, message, piggyback=False):
     """Encode and ship one message on a multiprocessing Connection.
 
     With a probe installed and ``piggyback=True`` (upward replies
-    only: worker -> relay -> coordinator), the frame travels inside a
-    ``T`` envelope carrying this process's probe flush plus any
-    buffered child records — telemetry rides existing replies, never
-    its own round-trips.
+    only: worker -> coordinator), the frame travels inside a ``T``
+    envelope carrying this process's probe flush — telemetry rides
+    existing replies, never its own round-trips.
     """
     probe = _PROBE
     if probe is None:
@@ -273,8 +219,7 @@ def send(conn, message, piggyback=False):
     payload = encode(message)
     tag = payload[:1].decode()
     if piggyback:
-        records = _SINK.drain() if hasattr(_SINK, "drain") else []
-        records.append(probe.flush())
+        records = [probe.flush()]
         payload = b"".join((
             b"T", _HEAD_COUNT.pack(len(payload)), payload,
             pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL),

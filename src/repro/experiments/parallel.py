@@ -53,15 +53,6 @@ class Cell:
     placement: str = "least-loaded"
     shards: int = 1
     rate_per_s: float = 0.0
-    #: Sharded sync protocol ("conservative" / "optimistic" / "auto").
-    #: Results are byte-identical across modes — it keys the cache only
-    #: because every field does, keeping the key derivation uniform.
-    sync: str = "conservative"
-    #: Fork-checkpoint cadence for optimistic sharded cells, in
-    #: confirmed epochs (None = adaptive, 0 = disabled — rollback then
-    #: replays from t=0).  Wall-clock only, byte-identical results; it
-    #: keys the cache because every field does.
-    checkpoint_every: int = None
     #: Record a flight-recorder trace (``repro.obs``) while running.
     #: Tracing never changes a cell's summary, but it keys the cache
     #: anyway (as_dict) so traced runs never serve or pollute the cache
@@ -128,8 +119,6 @@ def run_cell(cell):
             rate_per_s=cell.rate_per_s,
             engine_stats=stats,
             trace=trace,
-            sync=cell.sync,
-            checkpoint_every=cell.checkpoint_every,
             telemetry=telemetry,
         )
     elif cell.kind == "churn":

@@ -20,18 +20,13 @@ Two claims are exercised:
   result data byte-identical to the single-process run, so sharding is
   a pure wall-clock knob here.
 
-Knobs (``repro run scale --hosts N --placement P --shards K --sync M``
+Knobs (``repro run scale --hosts N --placement P --shards K --rate R``
 or :meth:`Experiment.configure`): ``hosts`` (default 8 quick / 48
 full), ``placement`` ("least-loaded" default, or "round-robin"),
-``shards`` (default 1 = single-process), ``sync`` (sharded barrier
-protocol: "conservative" default, "optimistic", "hierarchical" —
-optimistic workers under a relay tree with a pipelined coordinator —
-or "auto", which picks hierarchical), ``rate``
-(arrival rate per second; 0 = the paper's simultaneous burst —
-positive rates spread arrivals and exercise the epoch protocol the
-sync knob selects), ``checkpoint_every`` (optimistic workers'
-fork-checkpoint cadence in confirmed epochs; empty = adaptive,
-0 = disabled — wall-clock only, results are byte-identical).
+``shards`` (default 1 = single-process; "auto" splits only where each
+shard keeps enough hosts), ``rate`` (arrival rate per second; 0 = the
+paper's simultaneous burst — positive rates spread arrivals and
+exercise the sharded runner's epoch protocol).
 """
 
 from repro.experiments.base import Comparison, Experiment, pct, reduction
@@ -72,23 +67,13 @@ class Scale(Experiment):
     def _rate(self):
         return float(self.option("rate", 0.0) or 0.0)
 
-    def _sync(self):
-        return self.option("sync", "conservative")
-
-    def _checkpoint_every(self):
-        value = self.option("checkpoint_every", None)
-        return None if value in (None, "") else int(value)
-
     def _shards(self, hosts):
         # Resolved here (not just in run_cluster_cell) so the resolved
         # count lands in the Cell — and therefore in cache keys and the
         # report header — instead of the literal "auto".
         from repro.cluster.sharded import resolve_shards
 
-        return resolve_shards(
-            self.option("shards", 1), hosts, placement=self._placement(),
-            rate_per_s=self._rate(), sync=self._sync(),
-        )
+        return resolve_shards(self.option("shards", 1), hosts)
 
     @staticmethod
     def _sweep(quick):
@@ -103,8 +88,7 @@ class Scale(Experiment):
         return [
             Cell(preset, concurrency, None, seed, kind="cluster",
                  hosts=hosts, placement=placement, shards=shards,
-                 rate_per_s=self._rate(), sync=self._sync(),
-                 checkpoint_every=self._checkpoint_every())
+                 rate_per_s=self._rate())
             for preset in PRESETS
             for concurrency in self._sweep(quick)
         ]
@@ -121,8 +105,7 @@ class Scale(Experiment):
                     Cell(preset, concurrency, None, seed,
                          kind="cluster", hosts=hosts,
                          placement=placement, shards=shards,
-                         rate_per_s=self._rate(), sync=self._sync(),
-                         checkpoint_every=self._checkpoint_every())
+                         rate_per_s=self._rate())
                 )
                 series[preset].append(
                     {"concurrency": concurrency, **summary}

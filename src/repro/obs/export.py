@@ -32,15 +32,15 @@ bundle must stay byte-identical across shard counts.
 Track naming (documented contract; the exporter shape tests pin it):
 
 * One process group per probed process, named by its identity —
-  ``coordinator`` is always pid 0, then relays and workers in the
+  ``coordinator`` is always pid 0, then the workers in the
   aggregator's display order.
 * Every process carries one ``[wall] phases`` thread (tid 0) with its
-  runtime phase spans (complete ``X`` events) and its
-  rollback/checkpoint instants.  Worker processes whose records carry
-  a ``hosts`` range additionally adopt the *virtual* tracks of the
-  hosts they simulate, as ``[virt] <track>`` threads — virtual and
-  wall timelines of the same worker sit side by side in one group
-  (host-less tracks fall to the coordinator's group).
+  runtime phase spans (complete ``X`` events) and its instants.
+  Worker processes whose records carry a ``hosts`` range additionally
+  adopt the *virtual* tracks of the hosts they simulate, as ``[virt]
+  <track>`` threads — virtual and wall timelines of the same worker
+  sit side by side in one group (host-less tracks fall to the
+  coordinator's group).
 * Wall timestamps are seconds since the earliest probe birth
   (``origin``), aligned across processes through each probe's
   ``(time.time(), perf_counter())`` birth pair; virtual timestamps are
@@ -134,9 +134,9 @@ def to_dual_clock_trace(telemetry, bundle=None):
     One process group per probed process (coordinator pid 0, then the
     aggregator's display order).  Each group carries a ``[wall]
     phases`` thread (tid 0) with the probe's phase spans as complete
-    (``X``) events and its rollback/checkpoint instants; wall
-    timestamps are microseconds since the earliest probe birth,
-    aligned across processes via each probe's wall/perf birth pair.
+    (``X``) events and its instants; wall timestamps are microseconds
+    since the earliest probe birth, aligned across processes via each
+    probe's wall/perf birth pair.
     With a ``bundle``, every virtual track joins the process group of
     the worker whose host range contains its host index (coordinator's
     group when no range claims it) as a ``[virt] <track>`` thread —
@@ -215,30 +215,17 @@ def write_dual_clock_trace(telemetry, path, bundle=None):
         handle.write("\n")
 
 
-def _bucket_name(histogram, index):
-    """Histogram-aware bucket label.
-
-    Duration histograms recorded via ``observe`` use base-2
-    microsecond buckets; the sharded runner's ``*_hist`` series
-    (rollback depth in virtual seconds, replay distance in events) use
-    plain power-of-two value buckets, so their labels carry no unit.
-    """
-    from repro.obs.metrics import bucket_label
-
-    if histogram.endswith("_hist"):
-        return "le_1" if index == 0 else f"le_{2 ** index}"
-    return bucket_label(index)
-
-
 def flat_metrics(bundle):
     """The metrics snapshot with labeled histogram buckets."""
+    from repro.obs.metrics import bucket_label
+
     metrics = bundle["metrics"]
     return {
         "counters": dict(metrics.get("counters", {})),
         "gauges": dict(metrics.get("gauges", {})),
         "histograms": {
             name: {
-                _bucket_name(name, int(index)): count
+                bucket_label(int(index)): count
                 for index, count in sorted(
                     buckets.items(), key=lambda item: int(item[0])
                 )

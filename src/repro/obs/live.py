@@ -7,9 +7,9 @@ and repaints a compact dashboard a few times per second:
 
 * the coordinator's placement progress (containers placed, frontier
   epoch, ETA from the trailing placement rate);
-* one row per process — coordinator, relays, workers — with its commit
-  rate (epochs/s), wire throughput (bytes/s), rollback rate, and the
-  share of its wall-clock in each runtime phase;
+* one row per process — coordinator, workers — with its step rate
+  (epochs/s), wire throughput (bytes/s), and the share of its
+  wall-clock in each runtime phase;
 * cumulative wire traffic by frame type, pickle fallbacks surfaced.
 
 Everything rendered here is read-only telemetry: the view thread
@@ -28,9 +28,8 @@ import time
 from repro.obs import runtime
 
 #: Phases worth a column of their own in the per-process table; the
-#: rest (checkpoint fork/resume) fold into "other".
-_TOP_PHASES = ("compute", "speculate", "barrier_wait", "rollback_replay",
-               "ipc_send", "ipc_recv")
+#: rest (the coordinator's wait/place/reduce) fold into "other".
+_TOP_PHASES = ("compute", "barrier_wait", "ipc_send", "ipc_recv")
 
 
 def _fmt_bytes(count):
@@ -95,19 +94,15 @@ def render(aggregator, now=None, eta_s=None, width=100):
         lines.append(f"repro top — {elapsed:6.1f}s elapsed | waiting "
                      "for telemetry...")
     lines.append("")
-    header = (f"{'process':22s} {'epoch/s':>8s} {'bytes/s':>10s} "
-              f"{'rb/s':>6s} ")
+    header = f"{'process':22s} {'epoch/s':>8s} {'bytes/s':>10s} "
     header += " ".join(f"{name[:5]:>5s}" for name in _TOP_PHASES)
     header += f" {'other':>5s}"
     lines.append(header)
     lines.append("-" * max(len(header), 60))
-    total_rollbacks = 0
     for ident in aggregator.idents():
         record = aggregator.latest[ident]
-        epoch_rate, byte_rate, rollback_rate = aggregator.rates(ident)
-        total_rollbacks += record["counters"].get("rollbacks", 0)
-        row = (f"{ident:22s} {epoch_rate:8.1f} "
-               f"{_fmt_bytes(byte_rate):>10s} {rollback_rate:6.1f} ")
+        epoch_rate, byte_rate = aggregator.rates(ident)
+        row = f"{ident:22s} {epoch_rate:8.1f} {_fmt_bytes(byte_rate):>10s} "
         row += " ".join(_phase_cells(record))
         lines.append(row)
     lines.append("")
@@ -129,8 +124,6 @@ def render(aggregator, now=None, eta_s=None, width=100):
         lines.append("wire  " + "  ".join(parts))
         if fallbacks:
             lines.append(f"      pickle fallbacks: {fallbacks:,} frames")
-    if total_rollbacks:
-        lines.append(f"rollbacks total: {total_rollbacks:,}")
     return "\n".join(line[:width] for line in lines)
 
 

@@ -97,31 +97,18 @@ class MetricsRegistry:
             else:
                 self.set_gauge(name, value)
 
-    #: Sharded-sync protocol statistics that are monotone counts; the
-    #: rest (mode string, barrier-wait and coordinator-occupancy
-    #: seconds — wall-clock readings, so nondeterministic by nature —
-    #: and the checkpoint-age high-water mark) merge as gauges.  Keys
-    #: ending in ``_hist`` are already bucket dicts (the runner's
-    #: power-of-two rollback-depth and replay-distance histograms) and
-    #: fold straight into the histogram store.
-    _SYNC_COUNTERS = frozenset({
-        "epochs", "rollbacks", "speculated_events", "replayed_events",
-        "speculation_commits", "throttled_shards", "checkpoints",
-        "checkpoint_resumes", "full_replays", "placement_heap_ops",
-    })
+    #: Sharded-protocol statistics that are monotone counts; the rest
+    #: (barrier-wait and coordinator-occupancy seconds — wall-clock
+    #: readings, so nondeterministic by nature) merge as gauges.
+    _SYNC_COUNTERS = frozenset({"epochs", "placement_heap_ops"})
 
     def ingest_sync_stats(self, stats, scope="sync"):
-        """Fold the sharded runner's protocol counters in (epochs,
-        barrier wait, the optimistic rollback/speculation tallies, and
-        the checkpoint counters/histograms from
+        """Fold the sharded runner's protocol counters in (steps,
+        barrier wait, coordinator occupancy — see
         :mod:`repro.cluster.sharded`)."""
         for key, value in stats.items():
             name = f"{scope}/{key}"
-            if key.endswith("_hist"):
-                buckets = self.histograms.setdefault(name, {})
-                for index, count in value.items():
-                    buckets[index] = buckets.get(index, 0) + count
-            elif key in self._SYNC_COUNTERS:
+            if key in self._SYNC_COUNTERS:
                 self.inc(name, value)
             else:
                 self.set_gauge(name, value)

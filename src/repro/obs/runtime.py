@@ -2,14 +2,14 @@
 
 The flight recorder (``repro.obs.recorder``) sees only *virtual* time —
 by design, so its output is byte-identical across shard counts.  What
-it cannot see is the actual runtime: forked shard workers, the
-hierarchical relay tree, checkpoint forks, rollback replays, and the
-pipe IPC that dominates the 1M-host smoke.  This module is the other
-clock: every worker (and relay, and the coordinator) carries a
-:class:`RuntimeProbe` that samples monotonic-clock spans around the
-epoch loop's phases and counts wire frames by type, and a
-:class:`TelemetryAggregator` in the coordinator process assembles the
-per-process records into one cross-process wall-clock timeline.
+it cannot see is the actual runtime: forked shard workers, the time
+they spend blocked on the coordinator, and the pipe IPC that dominates
+the 1M-host smoke.  This module is the other clock: every worker (and
+the coordinator) carries a :class:`RuntimeProbe` that samples
+monotonic-clock spans around the epoch loop's phases and counts wire
+frames by type, and a :class:`TelemetryAggregator` in the coordinator
+process assembles the per-process records into one cross-process
+wall-clock timeline.
 
 Phase vocabulary (every wall-second of a worker's life is attributed
 to exactly one of these; the ``Decomposing Docker Container Startup
@@ -18,20 +18,20 @@ Performance`` methodology, applied to the simulator's own runtime):
 ==================  ====================================================
 phase               meaning
 ==================  ====================================================
-``compute``         committed simulation work (``step``/``run_until``)
+``compute``         simulation work (``step``/``drain``/``finish``)
 ``barrier_wait``    blocked on the protocol pipe
-``speculate``       free-running past the committed frontier
-``rollback_replay`` rebuilding state after a mis-speculation
-``checkpoint_fork`` forking a CoW checkpoint image
-``checkpoint_resume`` replaying the journal suffix in a resumed child
 ``ipc_send``        encoding + writing protocol frames
 ``ipc_recv``        decoding received frames (blocked time is wait)
 ==================  ====================================================
 
+The coordinator's own phases are ``wait``/``place``/``reduce`` (see
+``repro.cluster.sharded._CoordinatorStats``) plus the same two
+``ipc_*`` phases.
+
 Invariance contract — the reason this file can exist at all: probes
 only ever *read* clocks and count bytes.  No probe call feeds back
-into simulation state, placement, speculation pacing, or message
-content (telemetry piggybacks on replies inside a ``T`` envelope that
+into simulation state, placement, or message content (telemetry
+piggybacks on replies inside a ``T`` envelope that
 :func:`repro.cluster.wire.decode` strips before the protocol sees the
 message).  Every result byte is therefore identical with probes on or
 off — enforced by the telemetry-invariance CI gate.
@@ -55,10 +55,6 @@ from collections import deque
 PHASES = (
     "compute",
     "barrier_wait",
-    "speculate",
-    "rollback_replay",
-    "checkpoint_fork",
-    "checkpoint_resume",
     "ipc_send",
     "ipc_recv",
 )
@@ -224,7 +220,7 @@ class RuntimeProbe:
         return now
 
     def instant(self, name):
-        """Mark a point event (rollback, checkpoint fork/resume)."""
+        """Mark a named point event on this process's timeline."""
         if len(self._instants) < MAX_PENDING_INSTANTS:
             self._instants.append(
                 (time.perf_counter() - self.perf0, name)
@@ -235,59 +231,6 @@ class RuntimeProbe:
 
     def gauge(self, key, value):
         self.gauges[key] = value
-
-    def rebirth(self, ident=None):
-        """Re-stamp identity inside a resumed checkpoint child.
-
-        The CoW image inherits the probe object; pid changes, the
-        clock pair does not (CLOCK_MONOTONIC is system-wide, and the
-        record format only ever ships offsets against the inherited
-        pair, so spans stay aligned across the process swap).
-        """
-        self.pid = os.getpid()
-        if ident is not None:
-            self.ident = ident
-
-    def pack(self):
-        """Cumulative state for the checkpoint handover.
-
-        The dying image's not-yet-flushed spans/instants die with it
-        (counted as dropped); cumulative totals and wire accounting
-        carry over, so the resumed child's records stay monotonic and
-        the aggregator's rate rings never see totals go backwards.
-        """
-        return {
-            "phase_s": dict(self.phase_s),
-            "phase_n": dict(self.phase_n),
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "wire_tx": {
-                tag: list(entry) for tag, entry in self.wire.tx.items()
-            },
-            "wire_rx": {
-                tag: list(entry) for tag, entry in self.wire.rx.items()
-            },
-            "dropped": self._dropped_spans + len(self._spans),
-        }
-
-    def adopt(self, packed):
-        """Resume cumulative accounting inside a checkpoint child."""
-        self.phase_s = dict(packed["phase_s"])
-        self.phase_n = dict(packed["phase_n"])
-        self.counters = dict(packed["counters"])
-        self.gauges = dict(packed["gauges"])
-        self.wire.tx = {
-            tag: list(entry)
-            for tag, entry in packed["wire_tx"].items()
-        }
-        self.wire.rx = {
-            tag: list(entry)
-            for tag, entry in packed["wire_rx"].items()
-        }
-        self._dropped_spans = packed["dropped"]
-        self._spans = []
-        self._instants = []
-        self.rebirth()
 
     def flush(self):
         """The telemetry record: cumulative scalars + incremental spans."""
@@ -314,24 +257,6 @@ class RuntimeProbe:
         return record
 
 
-class RecordBuffer:
-    """A relay's telemetry sink: hold children's records for the next
-    upward reply (the relay contributes its own probe record when the
-    buffer is drained, so the tree reduction costs no extra frames)."""
-
-    __slots__ = ("_records",)
-
-    def __init__(self):
-        self._records = []
-
-    def __call__(self, records):
-        self._records.extend(records)
-
-    def drain(self):
-        records, self._records = self._records, []
-        return records
-
-
 class TelemetryAggregator:
     """Coordinator-side assembly of probe records into one timeline.
 
@@ -339,7 +264,7 @@ class TelemetryAggregator:
     with every batch of records a ``T`` envelope carried.  The latest
     cumulative scalars are kept per process identity, spans/instants
     accumulate (they arrive incrementally), and a short rate history
-    ring per identity feeds the live view's bytes/s and commit-rate
+    ring per identity feeds the live view's epochs/s and bytes/s
     columns.  ``snapshot`` renders the whole thing as a plain
     JSON-able dict — the telemetry artifact CI uploads.
     """
@@ -394,7 +319,6 @@ class TelemetryAggregator:
             time.time(),
             record["counters"].get("epochs", 0),
             total_tx + total_rx,
-            record["counters"].get("rollbacks", 0),
         ))
 
     def note_progress(self, placed, total, frontier_epoch):
@@ -406,25 +330,24 @@ class TelemetryAggregator:
         return min(origins) if origins else self.started
 
     def idents(self):
-        """Stable display order: coordinator, relays, workers, rest."""
+        """Stable display order: coordinator, workers, rest."""
         def rank(ident):
             if ident == "coordinator":
                 return (0, 0, ident)
-            for prefix, tier in (("relay", 1), ("worker", 2)):
-                if ident.startswith(prefix):
-                    tail = ident[len(prefix):].lstrip("-")
-                    try:
-                        return (tier, int(tail), ident)
-                    except ValueError:
-                        return (tier, 0, ident)
-            return (3, 0, ident)
+            if ident.startswith("worker"):
+                tail = ident[len("worker"):].lstrip("-")
+                try:
+                    return (1, int(tail), ident)
+                except ValueError:
+                    return (1, 0, ident)
+            return (2, 0, ident)
         return sorted(self.latest, key=rank)
 
     def rates(self, ident, window_s=5.0):
-        """(epochs/s, bytes/s, rollbacks/s) over the trailing window."""
+        """(epochs/s, bytes/s) over the trailing window."""
         ring = self.history.get(ident)
         if not ring or len(ring) < 2:
-            return (0.0, 0.0, 0.0)
+            return (0.0, 0.0)
         newest = ring[-1]
         oldest = newest
         for sample in reversed(ring):
@@ -433,11 +356,10 @@ class TelemetryAggregator:
                 break
         dt = newest[0] - oldest[0]
         if dt <= 0:
-            return (0.0, 0.0, 0.0)
+            return (0.0, 0.0)
         return (
             (newest[1] - oldest[1]) / dt,
             (newest[2] - oldest[2]) / dt,
-            (newest[3] - oldest[3]) / dt,
         )
 
     def snapshot(self):
@@ -469,7 +391,7 @@ class TelemetryAggregator:
 #: phases, where threading one more argument through every layer would
 #: couple the protocol signatures to an observability concern.  Fork
 #: children inherit the parent's probe and overwrite it first thing in
-#: their main (``_shard_worker_main`` / ``_relay_main``).
+#: their main (``_worker_main``).
 _PROBE = None
 
 

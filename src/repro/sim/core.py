@@ -246,7 +246,8 @@ class Timer:
         """True while the callback is still pending (not fired/cancelled)."""
         sim = self._sim
         handle = self._handle
-        # A restore() can shrink the pool below a post-snapshot handle.
+        # Bounds-checked like cancel(): a handle must never index past
+        # the pool, whatever the engine did to its columns since.
         return (
             handle < len(sim._eseq)
             and sim._ecb[handle] is not None
@@ -1000,104 +1001,6 @@ class Simulator:
                 heapify(spill)
         self._cancelled_unreaped = 0
         self._compactions += 1
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (engine state only)
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Copy-out of the engine's event state for later :meth:`restore`.
-
-        Captures the clock, sequence counter, ready ring, the
-        struct-of-arrays event columns, the timing wheel (buckets,
-        cursor, detached front, overlay heap), the spill heap, the free
-        list, and every statistic counter — everything the future-event
-        set consists of.  ``array`` columns snapshot as flat C-buffer
-        copies and handle lists as shallow list copies, so a snapshot
-        is cheap even with tens of thousands of pending events.
-
-        The contract is **engine state only**: callbacks and their
-        arguments are captured *by reference*.  That makes snapshots
-        exact for callback/timer workloads whose model state is plain
-        data the caller checkpoints alongside (the differential suite's
-        shape), but generator *processes cannot be rolled back* — a
-        generator's instruction pointer is not copyable, so resuming a
-        restored event against a generator that advanced past its
-        snapshot point is undefined.  This is precisely why the sharded
-        cluster's optimistic mode (see ``repro.cluster.sharded``) rolls
-        back by replaying its input journal into a fresh shard instead
-        of restoring a snapshot.
-
-        Must be taken between :meth:`run` calls, never from inside a
-        dispatched callback.
-        """
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "ready": list(self._ready),
-            "ewhen": self._ewhen[:],
-            "eseq": self._eseq[:],
-            "ecb": list(self._ecb),
-            "eargs": list(self._eargs),
-            "free": list(self._free),
-            "buckets": [list(bucket) for bucket in self._buckets],
-            "occupied": self._occupied,
-            "cur_slot": self._cur_slot,
-            "front_slot": self._front_slot,
-            "front": list(self._front),
-            "front_pos": self._front_pos,
-            "fheap": list(self._fheap),
-            "spill": list(self._spill),
-            "future_live": self._future_live,
-            "cancelled_unreaped": self._cancelled_unreaped,
-            "phantom_parked": self._phantom_parked,
-            "live": dict(self._live),
-            "events_dispatched": self.events_dispatched,
-            "timers_cancelled": self._timers_cancelled,
-            "compactions": self._compactions,
-            "spill_rebuckets": self._spill_rebuckets,
-            "spill_peak": self._spill_peak,
-            "max_bucket": self._max_bucket,
-        }
-
-    def restore(self, snap):
-        """Roll the engine back to a :meth:`snapshot`.
-
-        Every event container is rebuilt from the snapshot's copies, so
-        mutations made after the snapshot — events dispatched, timers
-        armed or cancelled, wheel turns, compactions — are all undone.
-        Outstanding :class:`Timer` handles from before the snapshot
-        become valid again (their seq/handle columns are restored);
-        handles minted *after* the snapshot degrade to inert no-ops
-        because their seqs are above the restored counter's history.
-        Same restriction as :meth:`snapshot`: engine state only, and
-        only between :meth:`run` calls.
-        """
-        self.now = snap["now"]
-        self._seq = snap["seq"]
-        self._ready = deque(snap["ready"])
-        self._ewhen = snap["ewhen"][:]
-        self._eseq = snap["eseq"][:]
-        self._ecb = list(snap["ecb"])
-        self._eargs = list(snap["eargs"])
-        self._free = list(snap["free"])
-        self._buckets = [list(bucket) for bucket in snap["buckets"]]
-        self._occupied = snap["occupied"]
-        self._cur_slot = snap["cur_slot"]
-        self._front_slot = snap["front_slot"]
-        self._front = list(snap["front"])
-        self._front_pos = snap["front_pos"]
-        self._fheap = list(snap["fheap"])
-        self._spill = list(snap["spill"])
-        self._future_live = snap["future_live"]
-        self._cancelled_unreaped = snap["cancelled_unreaped"]
-        self._phantom_parked = snap["phantom_parked"]
-        self._live = dict(snap["live"])
-        self.events_dispatched = snap["events_dispatched"]
-        self._timers_cancelled = snap["timers_cancelled"]
-        self._compactions = snap["compactions"]
-        self._spill_rebuckets = snap["spill_rebuckets"]
-        self._spill_peak = snap["spill_peak"]
-        self._max_bucket = snap["max_bucket"]
 
     def wheel_stats(self):
         """Timing-wheel engine statistics (``repro profile --hot``)."""

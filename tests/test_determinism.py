@@ -134,8 +134,6 @@ def test_cache_key_covers_every_cell_field():
         "placement": "round-robin",
         "shards": 2,
         "rate_per_s": 15.0,
-        "sync": "optimistic",
-        "checkpoint_every": 2,
         "trace": True,
     }
     # Every declared field must appear here — adding a Cell field

@@ -352,49 +352,44 @@ def test_sharded_trace_is_byte_identical_in_process():
 def test_ingest_sync_stats_routes_counters_mode_and_wait():
     registry = MetricsRegistry()
     registry.ingest_sync_stats({
-        "mode": "optimistic",              # string -> gauge
+        "mode": "sharded",                 # string -> gauge
         "epochs": 12,                      # monotone -> counter
-        "rollbacks": 3,
-        "speculated_events": 4000,
-        "replayed_events": 900,
-        "speculation_commits": 9,
-        "throttled_shards": 1,
+        "placement_heap_ops": 300,
         "barrier_wait_s": 0.125,           # wall-clock -> gauge
+        "coordinator_wait_s": 0.5,
     })
     snap = registry.snapshot()
     assert snap["counters"] == {
         "sync/epochs": 12,
-        "sync/rollbacks": 3,
-        "sync/speculated_events": 4000,
-        "sync/replayed_events": 900,
-        "sync/speculation_commits": 9,
-        "sync/throttled_shards": 1,
+        "sync/placement_heap_ops": 300,
     }
-    assert snap["gauges"]["sync/mode"] == "optimistic"
+    assert snap["gauges"]["sync/mode"] == "sharded"
     assert snap["gauges"]["sync/barrier_wait_s"] == pytest.approx(0.125)
+    assert snap["gauges"]["sync/coordinator_wait_s"] == pytest.approx(0.5)
+    assert snap["histograms"] == {}
 
 
 def test_sharded_trace_carries_sync_counters_outside_the_timeline():
-    """Optimistic protocol counters ride the trace bundle's metrics
-    (diagnostics), never its tracks — the exported timeline must stay
-    byte-identical to the conservative run's."""
+    """Protocol counters ride the trace bundle's metrics (diagnostics),
+    never its tracks — the exported timeline of a spread cell is the
+    same at every shard count."""
     from repro.cluster import cluster_arrivals
     from repro.cluster.sharded import run_sharded_cluster
 
-    def dump(sync):
+    def dump(shards):
         trace = {}
         run_sharded_cluster(
-            "fastiov", 24, hosts=4, seed=3, shards=2, workers=0,
-            arrivals=cluster_arrivals(3, 12.0), sync=sync, trace=trace,
+            "fastiov", 24, hosts=4, seed=3, shards=shards, workers=0,
+            arrivals=cluster_arrivals(3, 12.0), trace=trace,
         )
         rendered = json.dumps(to_chrome_trace(trace), sort_keys=True,
                               separators=(",", ":"))
         return trace, rendered
 
-    conservative, trace_cons = dump("conservative")
-    optimistic, trace_opt = dump("optimistic")
-    assert trace_opt == trace_cons
-    counters = optimistic["metrics"]["counters"]
+    _two, trace_two = dump(2)
+    four, trace_four = dump(4)
+    assert trace_four == trace_two
+    counters = four["metrics"]["counters"]
     assert counters["sync/epochs"] > 0
-    assert "sync/rollbacks" in counters
-    assert optimistic["metrics"]["gauges"]["sync/mode"] == "optimistic"
+    assert counters["sync/placement_heap_ops"] > 0
+    assert "sync/coordinator_wait_s" in four["metrics"]["gauges"]

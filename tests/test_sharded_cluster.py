@@ -4,9 +4,10 @@ The contract under test: splitting a cluster over K shard simulators
 (optionally K worker processes) is a wall-clock optimization only.
 Round-robin and burst placements must come back *byte-identical* to the
 single-process run for every K and worker count; spread-arrival
-least-loaded follows the deterministic epoch-barrier protocol, which is
-invariant to K and workers (though intentionally a conservative
-approximation of the single-process schedule).
+least-loaded follows the deterministic lockstep epoch protocol, which
+is invariant to K and workers (though intentionally a conservative
+approximation of the single-process schedule) and pinned to literal
+bytes on a sparse cell.
 """
 
 import json
@@ -313,12 +314,12 @@ def test_shard_worker_failure_surfaces_as_runtime_error():
 
 
 # ----------------------------------------------------------------------
-# Optimistic sync: speculate past the barrier, roll back on conflict
+# Legacy sync names: accepted by run_cluster_cell, select nothing
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_optimistic_burst_is_byte_identical_across_shards(shards):
-    """Burst cells place everything in epoch 0, so optimistic must hit
-    the single-process bytes exactly — speculation only moves clocks."""
+    """The old ``sync="optimistic"`` name still runs the one lockstep
+    protocol: a burst cell hits the single-process bytes exactly."""
     base = _bytes(_single("fastiov", 80, hosts=8, seed=7))
     sharded = run_cluster_cell(
         "fastiov", 80, hosts=8, seed=7, shards=shards, sync="optimistic"
@@ -327,165 +328,161 @@ def test_optimistic_burst_is_byte_identical_across_shards(shards):
 
 
 def test_optimistic_spread_matches_conservative_exactly():
-    """The committed timeline is the conservative one: same barriers,
-    same batches, same grid — for every shard count and transport."""
-    reference = _bytes(run_sharded_cluster(
-        "fastiov", 60, hosts=6, seed=9, shards=2, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="conservative",
-    ))
+    """Every accepted sync name commits the same timeline, for every
+    shard count and transport."""
+    def cell(sync, shards, workers):
+        return _bytes(run_cluster_cell(
+            "fastiov", 60, hosts=6, seed=9, shards=shards, workers=workers,
+            rate_per_s=15.0, sync=sync,
+        ))
+
+    reference = cell("conservative", 2, 0)
     for shards in (2, 3, 6):
         for workers in (0, None):
-            summary = run_sharded_cluster(
-                "fastiov", 60, hosts=6, seed=9, shards=shards,
-                workers=workers, arrivals=cluster_arrivals(9, 15.0),
-                sync="optimistic",
-            )
-            assert _bytes(summary) == reference, (
-                f"optimistic diverged at K={shards} workers={workers}"
+            assert cell("optimistic", shards, workers) == reference, (
+                f"diverged at K={shards} workers={workers}"
             )
 
 
-def test_forced_rollback_replays_to_identical_results():
-    """In-process optimistic speculates eagerly, so a spread cell is
-    guaranteed to mis-speculate past incoming batches; every rollback
-    must replay to the conservative bytes and be counted."""
-    stats = {}
-    optimistic = run_sharded_cluster(
-        "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="optimistic",
-        engine_stats=stats,
-    )
-    conservative = run_sharded_cluster(
-        "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="conservative",
-    )
-    assert _bytes(optimistic) == _bytes(conservative)
-    assert stats["sync_mode"] == "optimistic"
-    assert stats["sync_rollbacks"] >= 1
-    assert stats["sync_speculated_events"] > 0
-    assert stats["sync_replayed_events"] > 0
+def test_run_cluster_cell_sync_keyword_selects_nothing():
+    """``sync`` accepts None and the four old names, rejects the rest."""
+    reference = _bytes(run_cluster_cell(
+        "fastiov", 20, hosts=4, seed=2, shards=2, workers=0,
+        rate_per_s=12.0,
+    ))
+    for sync in ("conservative", "optimistic", "hierarchical", "auto"):
+        assert _bytes(run_cluster_cell(
+            "fastiov", 20, hosts=4, seed=2, shards=2, workers=0,
+            rate_per_s=12.0, sync=sync,
+        )) == reference, sync
+    with pytest.raises(ValueError):
+        run_cluster_cell("fastiov", 20, hosts=4, seed=2, shards=2,
+                         sync="yolo")
 
 
-def test_optimistic_survives_teardown_racing_last_placement():
-    """Adversarial teardown timing: arrivals outlast lifecycles, so
-    teardowns land mid-epoch while later batches are still being
-    placed.  Speculated teardowns must stay shard-local until their
-    epoch commits, and rollbacks must regenerate them exactly."""
-    stats = {}
-    optimistic = run_sharded_cluster(
-        "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
-        arrivals=cluster_arrivals(13, 10.0), sync="optimistic",
-        engine_stats=stats,
-    )
-    conservative = run_sharded_cluster(
-        "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
-        arrivals=cluster_arrivals(13, 10.0), sync="conservative",
-    )
-    assert _bytes(optimistic) == _bytes(conservative)
-    # The race happened and the pool still recycled completely.
-    assert optimistic["peak_in_flight"] < 40
-    assert optimistic["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
-    assert stats["sync_rollbacks"] >= 1
+def _arrival_epochs(seed, rate, concurrency):
+    """The number of lookahead epochs that contain at least one arrival."""
+    lookahead = min_startup_lookahead()
+    offsets = cluster_arrivals(seed, rate).offsets(concurrency)
+    return len({int(offset // lookahead) for offset in offsets})
 
 
 def test_engine_stats_exports_sync_counters():
     stats = {}
     run_cluster_cell(
-        "fastiov", 30, hosts=4, seed=2, shards=2, sync="optimistic",
-        rate_per_s=12.0, workers=0, engine_stats=stats,
+        "fastiov", 30, hosts=4, seed=2, shards=2, rate_per_s=12.0,
+        workers=0, engine_stats=stats,
     )
     assert stats["shards"] == 2
-    assert stats["sync_mode"] == "optimistic"
-    for key in ("sync_epochs", "sync_rollbacks", "sync_speculated_events",
-                "sync_replayed_events", "sync_speculation_commits",
-                "sync_throttled_shards", "sync_barrier_wait_s",
-                "sync_checkpoints", "sync_checkpoint_resumes",
-                "sync_full_replays", "sync_checkpoint_age_epochs",
-                "sync_rollback_depth_hist", "sync_replay_distance_hist"):
+    for key in ("sync_epochs", "sync_barrier_wait_s",
+                "sync_coordinator_wait_s", "sync_coordinator_place_s",
+                "sync_coordinator_reduce_s", "sync_placement_heap_ops"):
         assert key in stats, f"missing {key}"
-    assert stats["sync_epochs"] > 0
-    # In-process groups cannot sacrifice their own process image, so
-    # they never fork checkpoints — every rollback is a full replay.
-    assert stats["sync_checkpoints"] == 0
-    assert stats["sync_full_replays"] == stats["sync_rollbacks"]
+    # One step per epoch that has arrivals: empty epochs fold into the
+    # step before them.
+    assert stats["sync_epochs"] == _arrival_epochs(2, 12.0, 30)
+    assert stats["sync_barrier_wait_s"] == 0.0  # in-process: no pipe
 
 
-# ----------------------------------------------------------------------
-# Hierarchical sync: relay tree, digest replies, pipelined coordinator
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_hierarchical_spread_is_byte_identical_across_shards(shards):
-    """The relay tree, digest replies and depth-2 pipelining must not
-    move a single byte: hierarchical == conservative == unsharded for
+    """The old ``sync="hierarchical"`` name selects the flat star like
+    any other: spread results match the one-shard epoch protocol for
     every shard count and transport."""
     reference = _bytes(run_sharded_cluster(
         "fastiov", 60, hosts=8, seed=9, shards=1, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="conservative",
+        arrivals=cluster_arrivals(9, 15.0),
     ))
     for workers in (0, None):
-        summary = run_sharded_cluster(
+        summary = run_cluster_cell(
             "fastiov", 60, hosts=8, seed=9, shards=shards,
-            workers=workers, arrivals=cluster_arrivals(9, 15.0),
-            sync="hierarchical",
+            workers=workers, rate_per_s=15.0, sync="hierarchical",
         )
         assert _bytes(summary) == reference, (
-            f"hierarchical diverged at K={shards} workers={workers}"
+            f"diverged at K={shards} workers={workers}"
         )
-
-
-@pytest.mark.parametrize("fan_in", [2, 3])
-def test_hierarchical_fan_in_is_results_invariant(fan_in):
-    """8 workers over fan-in 2 or 3 forms a real relay tree (the
-    default fan-in of 4 covers 8 workers at depth 2 already); tree
-    depth must be invisible in the results."""
-    reference = _bytes(run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=8, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="conservative",
-    ))
-    summary = run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=8, workers=None,
-        arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
-        fan_in=fan_in,
-    )
-    assert _bytes(summary) == reference
-
-
-def test_hierarchical_rollback_storm_is_byte_identical(monkeypatch):
-    """The adversarial regime (safe pinned to the barrier, windows
-    pinned open) hammers the checkpoint handover *through the relay
-    tree*: conflicts swap worker processes mid-run while up to two
-    step requests ride the inherited pipes."""
-    reference = _bytes(run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=2, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="conservative",
-    ))
-    monkeypatch.setenv("REPRO_OPTIMISTIC_ADVERSARIAL_SAFE", "1")
-    summary = run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=8, workers=None,
-        arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
-        fan_in=2, checkpoint_every=1,
-    )
-    assert _bytes(summary) == reference
 
 
 def test_engine_stats_export_coordinator_occupancy():
     """The coordinator's occupancy split and the placement tracker's
-    heap traffic ride the sync stats for every epoch-protocol cell."""
-    for sync in ("conservative", "optimistic", "hierarchical"):
+    heap traffic ride the sync stats of every epoch-protocol cell."""
+    for workers in (0, None):
         stats = {}
         run_sharded_cluster(
-            "fastiov", 40, hosts=8, seed=2, shards=2, workers=0,
-            arrivals=cluster_arrivals(2, 12.0), sync=sync,
-            engine_stats=stats,
+            "fastiov", 40, hosts=8, seed=2, shards=2, workers=workers,
+            arrivals=cluster_arrivals(2, 12.0), engine_stats=stats,
         )
         for key in ("sync_coordinator_wait_s", "sync_coordinator_place_s",
                     "sync_coordinator_reduce_s", "sync_placement_heap_ops"):
-            assert key in stats, f"{sync} missing {key}"
+            assert key in stats, f"workers={workers} missing {key}"
         assert stats["sync_coordinator_wait_s"] >= 0.0
         # Least-loaded runs the lazy heap: every arrival pushes at
         # least one entry, so the op count is bounded below by the
         # arrival count.
         assert stats["sync_placement_heap_ops"] >= 40
+
+
+# ----------------------------------------------------------------------
+# A sparse cell pinned to literal bytes
+# ----------------------------------------------------------------------
+#: 120 arrivals at 5/s over 16 hosts (seed 3): most epochs are empty,
+#: so nearly every step folds a jump.  Captured from the three-protocol
+#: runner this protocol replaced; any drift in the folded jump, the
+#: visibility rule or end-of-run alignment moves these bytes.
+SPARSE_SUMMARY = {
+    "count": 120,
+    "events": 136659,
+    "free_vfs_total": 4096,
+    "hosts": 16,
+    "max": 1.1646515846782997,
+    "mean": 0.9563166676744427,
+    "min": 0.8199226814701195,
+    "p50": 0.9547125043259435,
+    "p99": 1.0958906823769474,
+    "peak_in_flight": 14,
+    "peak_load_per_host": [1] * 14 + [0, 0],
+}
+
+
+@pytest.mark.parametrize("shards,workers", [(2, 0), (2, 2), (4, 0), (4, 2)])
+def test_sparse_cell_matches_pinned_summary(shards, workers):
+    stats = {}
+    summary = run_sharded_cluster(
+        "fastiov", 120, hosts=16, seed=3, shards=shards, workers=workers,
+        arrivals=cluster_arrivals(3, 5.0), engine_stats=stats,
+    )
+    assert summary == SPARSE_SUMMARY
+    assert stats["sync_epochs"] == _arrival_epochs(3, 5.0, 120) == 103
+
+
+def test_dead_worker_fails_loud_and_leaves_no_children(monkeypatch):
+    """A worker SIGKILLed after its first step surfaces as a
+    RuntimeError naming its shards, and no child process survives."""
+    import multiprocessing
+    import os
+    import signal
+
+    from repro.cluster import sharded
+
+    step = sharded._ShardSet.step
+    served = []
+
+    def step_then_die(self, *args):
+        # Runs inside the forked workers (the patch is inherited, and
+        # each worker counts its own steps in its copy of ``served``).
+        name = multiprocessing.current_process().name
+        if served and name.endswith("worker-0"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        served.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(sharded._ShardSet, "step", step_then_die)
+    with pytest.raises(RuntimeError, match=r"worker 0 \(shards \[0, 2\]\)"):
+        run_sharded_cluster(
+            "fastiov", 40, hosts=8, seed=2, shards=4, workers=2,
+            arrivals=cluster_arrivals(2, 12.0),
+        )
+    assert multiprocessing.active_children() == []
 
 
 def test_heap_tracker_is_bit_identical_to_exact_scan():
@@ -539,8 +536,7 @@ def test_coordinator_trace_track_is_opt_in(monkeypatch):
         trace = {}
         run_sharded_cluster(
             "fastiov", 40, hosts=8, seed=2, shards=2, workers=0,
-            arrivals=cluster_arrivals(2, 12.0), sync="hierarchical",
-            trace=trace,
+            arrivals=cluster_arrivals(2, 12.0), trace=trace,
         )
         return trace
 
@@ -565,73 +561,46 @@ def test_coordinator_trace_track_is_opt_in(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# resolve_shards / resolve_sync decision tables
+# resolve_shards decision table
 # ----------------------------------------------------------------------
 def test_resolve_shards_auto_decision_table(monkeypatch):
-    """Pin the placement-plan-aware floors: auto must never pick a
-    sharded config that benches slower than --shards 1 for the cell's
-    synchronization needs (the epoch protocol pays 1-2 round-trips per
-    epoch; zero-sync plans pay none)."""
+    """One floor for every placement plan: auto splits at
+    MIN_HOSTS_PER_SHARD hosts per shard and never finer."""
     import os as _os
 
     from repro.cluster import sharded as mod
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 8)
+    floor = mod.MIN_HOSTS_PER_SHARD
     table = [
-        # (placement, rate, sync, hosts) -> expected
-        ("round-robin", 150.0, "conservative", 64, 8),   # floor 8
-        ("least-loaded", 0.0, "conservative", 64, 8),    # burst: floor 8
-        ("least-loaded", 150.0, "conservative", 64, 2),  # epoch: floor 32
-        ("least-loaded", 150.0, "optimistic", 64, 4),    # overlap: floor 16
-        ("least-loaded", 150.0, "hierarchical", 64, 4),  # same floor as opt.
-        ("least-loaded", 150.0, "auto", 64, 4),          # auto -> hierarchical
-        # Below the floor every plan degrades to single-shard.
-        ("least-loaded", 150.0, "conservative", 48, 1),
-        ("least-loaded", 150.0, "optimistic", 8, 1),
-        ("least-loaded", 150.0, "hierarchical", 8, 1),
-        ("round-robin", 150.0, "hierarchical", 64, 8),   # zero-sync floor 8
-        ("round-robin", 150.0, "conservative", 8, 1),
+        # hosts -> expected
+        (floor - 1, 1),
+        (2 * floor - 1, 1),      # below one full shard pair
+        (2 * floor, 2),
+        (4 * floor + 1, 4),
+        (64 * floor, 8),         # capped by the 8 cores
     ]
-    for placement, rate, sync, hosts, expected in table:
-        resolved = mod.resolve_shards(
-            "auto", hosts, placement=placement, rate_per_s=rate, sync=sync
-        )
+    for hosts, expected in table:
+        resolved = mod.resolve_shards("auto", hosts)
         assert resolved == expected, (
-            f"auto({placement}, rate={rate}, sync={sync}, hosts={hosts}) "
-            f"= {resolved}, expected {expected}"
+            f"auto(hosts={hosts}) = {resolved}, expected {expected}"
         )
 
 
 def test_resolve_shards_auto_caps_at_cpu_count(monkeypatch):
-    """More shards than cores just multiplies barrier latency, so auto
-    is capped by ``os.cpu_count()`` whatever the placement plan."""
+    """More shards than cores just multiplies step latency, so auto is
+    capped by ``os.cpu_count()``."""
     import os as _os
 
     from repro.cluster import sharded as mod
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 2)
-    table = [
-        # (placement, rate, sync, hosts) -> expected under 2 cores
-        ("round-robin", 150.0, "conservative", 64, 2),   # 64//8=8 -> cap 2
-        ("least-loaded", 0.0, "conservative", 256, 2),   # 256//8=32 -> cap 2
-        ("least-loaded", 150.0, "optimistic", 64, 2),    # 64//16=4 -> cap 2
-        ("least-loaded", 150.0, "hierarchical", 64, 2),  # 64//16=4 -> cap 2
-        ("least-loaded", 150.0, "conservative", 64, 2),  # 64//32=2 at cap
-        ("least-loaded", 150.0, "optimistic", 16, 1),    # floor binds first
-        ("least-loaded", 150.0, "hierarchical", 16, 1),  # floor binds first
-    ]
-    for placement, rate, sync, hosts, expected in table:
-        resolved = mod.resolve_shards(
-            "auto", hosts, placement=placement, rate_per_s=rate, sync=sync
-        )
-        assert resolved == expected, (
-            f"auto({placement}, rate={rate}, sync={sync}, hosts={hosts}) "
-            f"= {resolved}, expected {expected} under cpu_count=2"
-        )
+    assert mod.resolve_shards("auto", 256) == 2
+    assert mod.resolve_shards("auto", 2 * mod.MIN_HOSTS_PER_SHARD) == 2
+    assert mod.resolve_shards("auto", mod.MIN_HOSTS_PER_SHARD) == 1
     # cpu_count() may legitimately return None: treat it as one core.
     monkeypatch.setattr(_os, "cpu_count", lambda: None)
-    assert mod.resolve_shards("auto", 256, placement="round-robin",
-                              rate_per_s=150.0) == 1
+    assert mod.resolve_shards("auto", 256) == 1
 
 
 def test_resolve_shards_auto_spread_never_beats_its_floor(monkeypatch):
@@ -641,49 +610,15 @@ def test_resolve_shards_auto_spread_never_beats_its_floor(monkeypatch):
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 64)
     for hosts in range(1, 129):
-        for sync, floor in (("conservative", mod.MIN_HOSTS_PER_SHARD_EPOCH),
-                            ("optimistic",
-                             mod.MIN_HOSTS_PER_SHARD_OPTIMISTIC),
-                            ("hierarchical",
-                             mod.MIN_HOSTS_PER_SHARD_HIERARCHICAL)):
-            resolved = mod.resolve_shards(
-                "auto", hosts, placement="least-loaded",
-                rate_per_s=100.0, sync=sync,
-            )
-            assert resolved == 1 or hosts // resolved >= floor
+        resolved = mod.resolve_shards("auto", hosts)
+        assert resolved == 1 or hosts // resolved >= mod.MIN_HOSTS_PER_SHARD
 
 
-def test_resolve_sync_decision_table():
-    from repro.cluster.sharded import resolve_sync
-
-    assert resolve_sync(None) == "conservative"
-    assert resolve_sync(None, shards=8) == "conservative"
-    # No barrier to speculate past -> conservative, whatever was asked.
-    assert resolve_sync("optimistic", shards=1) == "conservative"
-    assert resolve_sync("optimistic", shards=4,
-                        placement="round-robin") == "conservative"
-    assert resolve_sync("auto", shards=1) == "conservative"
-    assert resolve_sync("hierarchical", shards=1) == "conservative"
-    assert resolve_sync("hierarchical", shards=4,
-                        placement="round-robin") == "conservative"
-    # The epoch protocol runs: requests are honored, auto goes fast —
-    # the relay tree + pipelined coordinator, whose worker side is the
-    # optimistic protocol and whose results are byte-identical.
-    assert resolve_sync("optimistic", shards=4) == "optimistic"
-    assert resolve_sync("conservative", shards=4) == "conservative"
-    assert resolve_sync("hierarchical", shards=4) == "hierarchical"
-    assert resolve_sync("auto", shards=4) == "hierarchical"
-    with pytest.raises(ValueError):
-        resolve_sync("yolo", shards=4)
-
-
-def test_scale_experiment_threads_sync_into_cells():
+def test_scale_experiment_threads_rate_into_cells():
     from repro.experiments import get_experiment
 
-    experiment = get_experiment("scale").configure(
-        shards=4, sync="optimistic", rate=150.0
-    )
+    experiment = get_experiment("scale").configure(shards=4, rate=150.0)
     cells = experiment._cells(quick=True, seed=0)
     assert cells
-    assert all(cell.sync == "optimistic" for cell in cells)
+    assert all(cell.shards == 4 for cell in cells)
     assert all(cell.rate_per_s == 150.0 for cell in cells)

@@ -1,12 +1,12 @@
 """Tests for the wall-clock telemetry plane (repro.obs.runtime/live).
 
 Covers the probe/aggregator units, the ``T`` wire envelope, the
-dual-clock exporter's shape contract (satellite: required keys,
-monotonic timestamps per track, pid/tid uniqueness, both clocks, across
-shard counts and sync modes), the ``repro top`` renderer, the
-perf-report ``--compare`` gate, and the invariance contract: probes on
-vs off must produce identical summaries, and ``LAST_TRACE`` must
-survive every sync mode (the hierarchical regression).
+dual-clock exporter's shape contract (required keys, monotonic
+timestamps per track, pid/tid uniqueness, both clocks, across shard
+counts), the ``repro top`` renderer, the perf-report ``--compare``
+gate, and the invariance contract: probes on vs off must produce
+identical summaries, and ``LAST_TRACE`` must survive every shard
+count.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.obs.runtime import (
     CollectorMeter,
     MAX_PENDING_SPANS,
     PHASES,
-    RecordBuffer,
     RuntimeProbe,
     TelemetryAggregator,
     WireStats,
@@ -97,24 +96,6 @@ def test_probe_span_buffer_bounded():
     assert len(probe.flush()["instants"]) == MAX_PENDING_INSTANTS
 
 
-def test_probe_pack_adopt_carries_totals_drops_pending():
-    probe = RuntimeProbe("worker-0")
-    probe.lap("speculate", probe.begin())
-    probe.count("epochs", 5)
-    probe.wire.note_tx("S", 100)
-    packed = probe.pack()
-    # a fresh probe (the checkpoint child) adopts the totals
-    child = RuntimeProbe("worker-0")
-    child.adopt(packed)
-    assert child.counters == {"epochs": 5}
-    assert child.phase_n == {"speculate": 1}
-    assert child.wire.tx == {"S": [1, 100]}
-    # the parent's unflushed span died with it, counted as dropped
-    record = child.flush()
-    assert record["spans"] == []
-    assert record["dropped_spans"] == 1
-
-
 def test_wire_stats_accounting():
     stats = WireStats()
     stats.note_tx("S", 10)
@@ -143,14 +124,6 @@ def test_collector_meter_counts_collections_per_generation():
     assert "of 1.000 s wall" in lines[-1]
 
 
-def test_record_buffer_drains():
-    buffer = RecordBuffer()
-    buffer([{"ident": "a"}])
-    buffer([{"ident": "b"}, {"ident": "c"}])
-    assert [r["ident"] for r in buffer.drain()] == ["a", "b", "c"]
-    assert buffer.drain() == []
-
-
 # ----------------------------------------------------------------------
 # aggregator
 # ----------------------------------------------------------------------
@@ -169,11 +142,11 @@ def _record(ident, wall0=100.0, epochs=0, rollbacks=0, **extra):
 def test_aggregator_ident_order_and_origin():
     agg = TelemetryAggregator()
     agg.ingest([_record("worker-1", wall0=102.0),
-                _record("relay-0", wall0=101.0),
+                _record("main", wall0=101.0),
                 _record("coordinator", wall0=100.0),
                 _record("worker-0", wall0=103.0)])
-    assert agg.idents() == ["coordinator", "relay-0",
-                            "worker-0", "worker-1"]
+    assert agg.idents() == ["coordinator", "worker-0", "worker-1",
+                            "main"]
     assert agg.wall_origin() == 100.0
 
 
@@ -208,8 +181,8 @@ def test_aggregator_progress_and_rates():
     agg.ingest([_record("worker-0")])
     assert agg.snapshot()["progress"] == [10, 100, 3]
     # fewer than two samples -> zero rates, no crash
-    assert agg.rates("worker-0") == (0.0, 0.0, 0.0)
-    assert agg.rates("missing") == (0.0, 0.0, 0.0)
+    assert agg.rates("worker-0") == (0.0, 0.0)
+    assert agg.rates("missing") == (0.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -253,10 +226,10 @@ def test_telemetry_envelope_without_sink_still_decodes():
 
 def test_plain_send_has_no_envelope():
     parent, child = multiprocessing.Pipe()
-    wire.send(parent, ("run_until", 2.5))
+    wire.send(parent, ("step", 0.0, 2.5, {}))
     raw = child.recv_bytes()
-    assert raw[:1] == b"R"
-    assert wire.decode(raw) == ("run_until", 2.5)
+    assert raw[:1] == b"S"
+    assert wire.decode(raw) == ("step", 0.0, 2.5, {})
     parent.close(), child.close()
 
 
@@ -278,8 +251,7 @@ def test_send_accounts_frames_by_inner_tag():
 
 
 # ----------------------------------------------------------------------
-# dual-clock exporter shape (satellite: both clocks, both modes,
-# shards 1 vs 4)
+# dual-clock exporter shape (both clocks, shards 1 vs 4)
 # ----------------------------------------------------------------------
 def _dual_clock_case(shards, sync):
     telemetry = {}
@@ -418,22 +390,20 @@ def test_single_process_telemetry():
 
 
 # ----------------------------------------------------------------------
-# LAST_TRACE across sync modes (the hierarchical regression)
+# LAST_TRACE across shard counts
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sync", ["conservative", "optimistic",
-                                  "hierarchical"])
-def test_last_trace_survives_every_sync_mode(sync):
-    shards = 8 if sync == "hierarchical" else 2
+@pytest.mark.parametrize("shards", [2, 4, 8])
+def test_last_trace_survives_every_shard_count(shards):
     cell = Cell("fastiov", 24, kind="cluster", hosts=16, seed=5,
-                shards=shards, rate_per_s=6.0, sync=sync, trace=True)
+                shards=shards, rate_per_s=6.0, trace=True)
     run_cell(cell)
     assert parallel.LAST_TRACE is not None
-    assert parallel.LAST_TRACE["tracks"], f"empty trace under {sync}"
+    assert parallel.LAST_TRACE["tracks"], f"empty trace at K={shards}"
 
 
 def test_last_telemetry_side_channel(monkeypatch):
     cell = Cell("fastiov", 24, kind="cluster", hosts=8, seed=3,
-                shards=2, rate_per_s=6.0, sync="optimistic")
+                shards=2, rate_per_s=6.0)
     monkeypatch.delenv("REPRO_RUNTIME_PROBES", raising=False)
     run_cell(cell)
     assert parallel.LAST_TELEMETRY is None
@@ -467,7 +437,7 @@ def test_render_layout():
     text = render(agg, now=101.0, eta_s=30.0)
     assert "50/100" in text
     assert "coordinator" in text and "worker-0" in text
-    for column in ("comp", "barr", "spec"):
+    for column in ("comp", "barr", "ipc_s", "ipc_r"):
         assert column in text
     assert "wire" in text
 
