@@ -89,10 +89,11 @@ def cmd_profile(args):
     instead of the whole run: one simulator, no harness overhead, so the
     top of the listing is the engine/model hot path a perf PR should
     attack.  Experiments without launch cells fall back to a full run.
-    ``--hot`` also prints the cell simulator's timing-wheel statistics
-    (max bucket occupancy, spill re-bucketing count, cancelled-timer
-    compactions, ...) after the profile listing.  Both modes print the
-    cyclic collector's time and collection counts per generation
+    ``--hot`` also prints the cell simulator's
+    :meth:`~repro.sim.core.Simulator.stats` (events dispatched, pending
+    events, cancelled timers, tombstone compactions) after the profile
+    listing.  Both modes print the cyclic collector's time and
+    collection counts per generation
     (:class:`~repro.obs.runtime.CollectorMeter`).
     """
     import cProfile

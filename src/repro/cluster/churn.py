@@ -182,8 +182,8 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
     :class:`ValueError`.
 
     ``engine_stats``, if given, is a dict filled with the simulator's
-    :meth:`~repro.sim.core.Simulator.wheel_stats` for diagnostics —
-    single-process wheel stats, or the shards' aggregated stats plus
+    :meth:`~repro.sim.core.Simulator.stats` for diagnostics —
+    single-process engine stats, or the shards' summed stats plus
     the protocol counters (steps, barrier wait, coordinator
     occupancy); it is never part of the returned summary.
 
@@ -253,11 +253,11 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
         snapshot["shards"] = 1
         telemetry.update(snapshot)
     if engine_stats is not None:
-        engine_stats.update(cluster.sim.wheel_stats())
+        engine_stats.update(cluster.sim.stats())
     if recorder is not None:
         for host in cluster.hosts:
             host.finalize_trace()
-        recorder.registry.ingest_wheel_stats(cluster.sim.wheel_stats())
+        recorder.registry.ingest_engine_stats(cluster.sim.stats())
         recorder.registry.ingest_ticker_stats(cluster.ticker.stats())
         trace.update(recorder.dump())
     summary = driver.startup_times().summary()

@@ -452,8 +452,8 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             bundle (``repro.obs``): each shard records its own hosts
             and the merge is a disjoint union of host-unique tracks.
             The returned summary never contains trace data.
-        engine_stats: Optional dict, filled with aggregated per-shard
-            wheel stats plus the protocol counters: ``sync_epochs``
+        engine_stats: Optional dict, filled with the shards' summed
+            engine stats plus the protocol counters: ``sync_epochs``
             (steps sent), ``sync_barrier_wait_s``, the coordinator's
             ``sync_coordinator_{wait,place,reduce}_s`` and
             ``sync_placement_heap_ops``.
@@ -500,9 +500,6 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             host_shard[host_index] = shard_id
 
     lookahead = min_startup_lookahead(spec)
-    trace_coordinator = trace is not None and os.environ.get(
-        "REPRO_TRACE_COORDINATOR", ""
-    ) not in ("", "0")
     probes = telemetry is not None or runtime.probes_enabled()
     prev_probes_env = os.environ.get("REPRO_RUNTIME_PROBES")
     aggregator = None
@@ -519,8 +516,7 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         runtime.set_probe(coord_probe)
         wire.set_probe(coord_probe)
         wire.set_telemetry_sink(aggregator.ingest)
-    stats = _CoordinatorStats(record_spans=trace_coordinator,
-                              probe=coord_probe)
+    stats = _CoordinatorStats(probe=coord_probe)
     tracker = None
     group = None
     try:
@@ -561,9 +557,10 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         "coordinator_reduce_s": stats.reduce_s,
         "placement_heap_ops": tracker.heap_ops if tracker is not None else 0,
     }
-    wheels = [result.pop("wheel_stats", None) for result in results]
+    shard_engines = [result.pop("engine_stats") for result in results]
     if engine_stats is not None:
-        engine_stats.update(_aggregate_wheel_stats(wheels))
+        for key in shard_engines[0]:
+            engine_stats[key] = sum(engine[key] for engine in shard_engines)
         engine_stats["shards"] = shards
         for key, value in sync_stats.items():
             engine_stats[f"sync_{key}"] = value
@@ -582,41 +579,7 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         trace["metrics"] = merge_metrics(
             [trace["metrics"], registry.snapshot()]
         )
-        if trace_coordinator:
-            # Opt-in (REPRO_TRACE_COORDINATOR=1): the coordinator's
-            # wait/place/reduce spans on a synthetic wall-clock track.
-            # Never on by default — wall-clock spans differ run to run,
-            # and the default bundle is byte-identical across shard
-            # counts (the trace-determinism CI gate).
-            trace["tracks"]["coordinator"] = stats.track_events()
     return _merge(results, hosts, concurrency)
-
-
-#: Wheel-stat aggregation across shards: throughput/cost counters sum,
-#: high-water marks take the max, descriptive keys (bucket_width,
-#: engine name) come from the first shard.
-_WHEEL_SUM_KEYS = frozenset({
-    "events_dispatched", "pending_events", "timers_cancelled",
-    "compactions", "spill_rebuckets", "pool_slots", "pool_free",
-})
-_WHEEL_MAX_KEYS = frozenset({
-    "spill_peak", "max_bucket_occupancy", "pool_occupancy",
-})
-
-
-def _aggregate_wheel_stats(wheels):
-    totals = {}
-    for wheel in wheels:
-        if not wheel:
-            continue
-        for key, value in wheel.items():
-            if key in _WHEEL_SUM_KEYS:
-                totals[key] = totals.get(key, 0) + value
-            elif key in _WHEEL_MAX_KEYS:
-                totals[key] = max(totals.get(key, 0), value)
-            else:
-                totals.setdefault(key, value)
-    return totals
 
 
 class _CoordinatorStats:
@@ -626,44 +589,28 @@ class _CoordinatorStats:
     ``wait`` (blocked on shard replies), ``place`` (walking arrivals
     against the load tracker), ``reduce`` (applying reply digests to
     the tracker) — exported through the sync stats as
-    ``coordinator_*_s`` gauges, and counts the steps sent.  With span
-    recording enabled (``REPRO_TRACE_COORDINATOR=1`` on a traced run)
-    every bucket also becomes a Perfetto span on a synthetic
-    ``coordinator`` track, in *wall-clock seconds since the run
-    started* (every simulation track is in virtual time — the
-    coordinator has no virtual clock, and its occupancy is precisely a
-    wall-clock question).  The track is opt-in because wall-clock spans
-    differ run to run, and the default trace bundle must stay
-    byte-identical across shard counts.
+    ``coordinator_*_s`` gauges, and counts the steps sent.  With
+    runtime probes on, every bucket is also a span on the
+    coordinator's :class:`~repro.obs.runtime.RuntimeProbe`, which
+    carries it into the telemetry snapshot and the dual-clock trace.
     """
 
-    __slots__ = ("wait_s", "place_s", "reduce_s", "steps", "_events",
-                 "_record", "_start", "_probe")
+    __slots__ = ("wait_s", "place_s", "reduce_s", "steps", "_probe")
 
-    def __init__(self, record_spans=False, probe=None):
+    def __init__(self, probe=None):
         self.wait_s = 0.0
         self.place_s = 0.0
         self.reduce_s = 0.0
         self.steps = 0
-        self._record = record_spans
         self._probe = probe
-        self._events = []
-        self._start = time.perf_counter()
 
     def note(self, kind, began):
         """Account one ``kind`` span from ``began`` to now; returns now."""
         now = time.perf_counter()
         setattr(self, kind + "_s", getattr(self, kind + "_s") + now - began)
-        if self._record:
-            self._events.append(("B", began - self._start, kind))
-            self._events.append(("E", now - self._start))
         if self._probe is not None:
             self._probe.lap(kind, began, now)
         return now
-
-    def track_events(self):
-        """The recorded span stream, recorder-track shaped."""
-        return list(self._events)
 
 
 def _place_round_robin(group, order, offsets, hosts, host_shard, stats):

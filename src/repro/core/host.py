@@ -74,11 +74,7 @@ class Host:
         #: engine-level statistics are attributed to the owner only, so
         #: cluster hosts sharing one simulator never double-report.
         self.owns_sim = sim is None
-        self.sim = (
-            sim
-            if sim is not None
-            else Simulator(bucket_width=spec.timer_wheel_width())
-        )
+        self.sim = sim if sim is not None else Simulator()
         self.trace = trace
         if trace is not None:
             trace.bind(self.sim)
@@ -224,7 +220,7 @@ class Host:
 
         Call after the simulation ran.  Lock contention stats become
         ``lock/<host>/<name>/*`` counters; CPU utilization a gauge;
-        timing-wheel statistics fold in only for the simulator's owner
+        engine statistics fold in only for the simulator's owner
         (cluster hosts share one simulator).
         """
         trace = self.trace
@@ -245,7 +241,7 @@ class Host:
         registry.set_gauge(f"{scope}cpu-utilization",
                            self.cpu.utilization())
         if self.owns_sim:
-            registry.ingest_wheel_stats(self.sim.wheel_stats())
+            registry.ingest_engine_stats(self.sim.stats())
 
     # ------------------------------------------------------------------
     # convenience

@@ -63,7 +63,7 @@ def run_churn_cell(preset, total, rate_per_s, seed, engine_stats=None,
     experiment), so it is safe to run in a worker process and to cache.
     Steady state drops the first third of arrivals (warm-up).
     ``engine_stats``, if given, is filled with the host simulator's
-    ``wheel_stats()`` for diagnostics; never part of the summary.
+    ``stats()`` for diagnostics; never part of the summary.
     ``trace``, if given, is a dict filled with the flight-recorder
     bundle (never part of the summary).
     """
@@ -75,7 +75,7 @@ def run_churn_cell(preset, total, rate_per_s, seed, engine_stats=None,
     records, host = run_churn(preset, total, rate_per_s, "image", seed,
                               trace=recorder)
     if engine_stats is not None:
-        engine_stats.update(host.sim.wheel_stats())
+        engine_stats.update(host.sim.stats())
     if recorder is not None:
         host.finalize_trace()
         trace.update(recorder.dump())

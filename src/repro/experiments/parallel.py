@@ -78,7 +78,7 @@ def summarize_launch(result):
     }
 
 
-#: Engine statistics (:meth:`repro.sim.core.Simulator.wheel_stats`) of
+#: Engine statistics (:meth:`repro.sim.core.Simulator.stats`) of
 #: the most recent :func:`run_cell` in this process.  Diagnostic only —
 #: read by ``repro profile --hot`` after profiling a cell; never part
 #: of a cell's summary, so caches and worker pipes are unaffected.
@@ -141,10 +141,10 @@ def run_cell(cell):
             seed=cell.seed,
             trace=recorder,
         )
-        stats.update(host.sim.wheel_stats())
+        stats.update(host.sim.stats())
         if recorder is not None:
             # launch_preset already finalized the host (which ingests the
-            # wheel stats — a standalone host owns its simulator).
+            # engine stats — a standalone host owns its simulator).
             trace = recorder.dump()
         summary = summarize_launch(result)
     LAST_ENGINE_STATS = stats or None

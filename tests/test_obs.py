@@ -60,20 +60,24 @@ def test_merge_metrics_sums_counters_and_buckets_maxes_gauges():
     assert merged["histograms"] == {"h": {0: 1, 3: 7}, "k": {1: 1}}
 
 
-def test_ingest_wheel_stats_routes_counts_vs_gauges():
+def test_ingest_engine_stats_routes_counts_vs_gauges():
     registry = MetricsRegistry()
-    registry.ingest_wheel_stats({
-        "engine": "timing-wheel",          # string -> gauge
-        "buckets": 256,                    # config -> gauge
+    registry.ingest_engine_stats({
         "events_dispatched": 100,          # monotone -> counter
-        "spill_peak": 7,                   # peak -> gauge
+        "pending_events": 3,               # end-of-run level -> gauge
+        "timers_cancelled": 9,             # monotone -> counter
+        "cancelled_unreaped": 2,           # end-of-run level -> gauge
+        "compactions": 1,                  # monotone -> counter
     })
     snap = registry.snapshot()
-    assert snap["counters"] == {"engine/events_dispatched": 100}
+    assert snap["counters"] == {
+        "engine/events_dispatched": 100,
+        "engine/timers_cancelled": 9,
+        "engine/compactions": 1,
+    }
     assert snap["gauges"] == {
-        "engine/engine": "timing-wheel",
-        "engine/buckets": 256,
-        "engine/spill_peak": 7,
+        "engine/pending_events": 3,
+        "engine/cancelled_unreaped": 2,
     }
 
 

@@ -528,36 +528,26 @@ def test_heap_tracker_is_bit_identical_to_exact_scan():
         assert heap.heap_ops > 0
 
 
-def test_coordinator_trace_track_is_opt_in(monkeypatch):
+def test_coordinator_trace_track_is_opt_in():
     """Wall-clock coordinator spans would break trace byte-identity
-    across shard counts, so the track only appears under
-    REPRO_TRACE_COORDINATOR=1 — and then as well-formed B/E pairs."""
-    def traced():
-        trace = {}
-        run_sharded_cluster(
-            "fastiov", 40, hosts=8, seed=2, shards=2, workers=0,
-            arrivals=cluster_arrivals(2, 12.0), trace=trace,
-        )
-        return trace
-
-    monkeypatch.delenv("REPRO_TRACE_COORDINATOR", raising=False)
-    assert "coordinator" not in traced()["tracks"]
-    monkeypatch.setenv("REPRO_TRACE_COORDINATOR", "1")
-    events = traced()["tracks"]["coordinator"]
-    assert events, "no coordinator spans recorded"
-    depth = 0
-    kinds = set()
-    for event in events:
-        if event[0] == "B":
-            depth += 1
-            kinds.add(event[2])
-        else:
-            assert event[0] == "E"
-            depth -= 1
-        assert 0 <= depth <= 1
-    assert depth == 0
-    assert kinds <= {"wait", "place", "reduce"}
-    assert "place" in kinds
+    across shard counts, so they never enter the virtual trace: the
+    coordinator's runtime probe carries its wait/place/reduce spans in
+    the telemetry snapshot instead, ordered and non-overlapping."""
+    trace = {}
+    telemetry = {}
+    run_sharded_cluster(
+        "fastiov", 40, hosts=8, seed=2, shards=2, workers=0,
+        arrivals=cluster_arrivals(2, 12.0), trace=trace,
+        telemetry=telemetry,
+    )
+    assert "coordinator" not in trace["tracks"]
+    record = telemetry["processes"]["coordinator"]
+    occupancy = {"wait", "place", "reduce"}
+    assert occupancy <= set(record["phases"])
+    spans = [span for span in record["spans"] if span[0] in occupancy]
+    assert {span[0] for span in spans} == occupancy
+    for (_, began, ended), (_, next_began, _) in zip(spans, spans[1:]):
+        assert began <= ended <= next_began
 
 
 # ----------------------------------------------------------------------

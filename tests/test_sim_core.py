@@ -43,6 +43,22 @@ def test_negative_timeout_rejected():
         Timeout(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("arm", [
+    lambda sim, value: Timeout(value),
+    lambda sim, value: sim.schedule(value, lambda: None),
+    lambda sim, value: sim.call_at(value, lambda: None),
+    lambda sim, value: sim.call_later(value, lambda: None),
+], ids=["Timeout", "schedule", "call_at", "call_later"])
+def test_non_finite_times_are_rejected(arm, value):
+    """A NaN time would misorder the event heap and an infinite one
+    would never fire: both are refused before anything is queued."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        arm(sim, value)
+    assert sim.pending_events == 0
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
@@ -464,13 +480,13 @@ def test_cancel_after_fire_is_a_noop():
 
 
 def test_stale_timer_handle_cannot_cancel_recycled_entry():
-    """Entry bodies are pooled; a handle to a dead timer must not reach
-    through the free list and cancel an unrelated newer timer."""
+    """A handle to a cancelled, reaped timer must stay inert and never
+    cancel an unrelated newer timer."""
     sim = Simulator()
     fired = []
     stale = sim.call_later(1.0, fired.append, "first")
     stale.cancel()
-    # Drain so the tombstone is reaped and its body recycled.
+    # Drain so the tombstone is reaped.
     def spin():
         yield Timeout(1.5)
 
@@ -521,7 +537,9 @@ def test_mass_cancellation_triggers_compaction():
         timers = [sim.call_later(60.0 + i * 0.01, lambda: None) for i in range(500)]
         for timer in timers:
             timer.cancel()
-    stats = sim.wheel_stats()
+            # Tombstones never outnumber live entries past the floor.
+            assert len(sim._heap) <= 2 * sim.pending_events + 64
+    stats = sim.stats()
     assert stats["timers_cancelled"] == 1500
     assert stats["compactions"] >= 1
     assert sim.pending_events == 0
@@ -538,16 +556,16 @@ def test_mass_cancellation_triggers_compaction():
 
 
 def test_insert_behind_advanced_window_after_run_until():
-    """A far-future timer can park the wheel cursor way ahead of the
-    clock during run_until; inserts landing in the gap (the sharded
-    epoch protocol's submit-after-barrier shape) must still fire at the
-    right time and in the right order."""
+    """After run_until stops the clock short of a far-future timer,
+    inserts landing between the clock and that timer (the sharded epoch
+    protocol's submit-after-barrier shape) must still fire at the right
+    time and in the right order."""
     sim = Simulator()
     fired = []
     sim.call_later(900.0, fired.append, "watchdog")
-    sim.run_until(1.0)  # cursor races to the 900 s slot, clock stops at 1
+    sim.run_until(1.0)  # clock stops at 1, the watchdog still pending
     assert sim.now == 1.0
-    # These land behind the advanced window.
+    # These land between the clock and the watchdog.
     sim.schedule(1.5, fired.append, "near-a")
     sim.schedule(1.25, fired.append, "near-b")
     sim.schedule(400.0, fired.append, "mid")
@@ -558,23 +576,27 @@ def test_insert_behind_advanced_window_after_run_until():
     assert sim.pending_events == 0
 
 
-def test_wheel_stats_reports_engine_counters():
+def test_stats_reports_engine_counters():
     sim = Simulator()
-    sim.call_later(1000.0, lambda: None)  # far future: spill level
+    sim.call_later(1000.0, lambda: None)
     cancelled = sim.call_later(0.5, lambda: None)
     cancelled.cancel()
+    assert sim.stats()["cancelled_unreaped"] == 1
 
     def keepalive():
         yield Timeout(1500.0)
 
     sim.spawn(keepalive())
     sim.run()
-    stats = sim.wheel_stats()
-    assert stats["engine"] == "timing-wheel"
-    assert stats["spill_rebuckets"] >= 1
-    assert stats["timers_cancelled"] == 1
-    assert stats["max_bucket_occupancy"] >= 1
-    assert stats["pending_events"] == 0
+    # spawn step + the 1000 s timer + keepalive's timeout; the cancelled
+    # timer's tombstone was reaped on the way.
+    assert sim.stats() == {
+        "events_dispatched": 3,
+        "pending_events": 0,
+        "timers_cancelled": 1,
+        "cancelled_unreaped": 0,
+        "compactions": 0,
+    }
 
 
 def test_join_command_repr_mentions_target():

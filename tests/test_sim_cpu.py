@@ -214,4 +214,4 @@ def test_reap_stale_cancels_superseded_completions():
     assert done_reap == done_plain
     assert sim_reap.now == sim_plain.now
     assert sim_reap.events_dispatched < sim_plain.events_dispatched
-    assert sim_reap.wheel_stats()["timers_cancelled"] > 0
+    assert sim_reap.stats()["timers_cancelled"] > 0
