@@ -140,4 +140,5 @@ class SriovCni(CniPlugin):
         if self.rebind_flaw and attachment.vf.driver == HOST_NETDEV_DRIVER:
             yield from host.binding.unbind(attachment.vf)
             yield from host.binding.bind(attachment.vf, VFIO_DRIVER_NAME)
+        host.nic.pf.reset_vf(attachment.vf)
         self.release_vf(attachment.vf)

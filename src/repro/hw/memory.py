@@ -9,10 +9,15 @@ State is tracked in *run-length* form: a :class:`PageRun` is a span of
 frames that share one uniform (content, tag, pin, owner) state, so
 allocating, zeroing, pinning, or freeing a region costs O(runs) rather
 than O(pages) — ≈131k frames for a fully-loaded 256 GiB host collapse
-into a handful of spans.  Per-page state mutations split a run at the
-page boundary ("split-on-write") and re-coalesce equal-state neighbours
-afterwards, so the representation stays compact under page-granular
-traffic (EPT faults, ROM loads).
+into a handful of spans.  A per-page mutation moves a run edge when it
+can: zeroing or writing the first page of a run whose left neighbour
+already holds the new state moves the boundary between them one page
+right.  That is the common case, because page-by-page traffic (the
+fastiovd scanner, guest faults, DMA writes) mostly walks a region in
+address order.  Any other per-page mutation splits the page off its
+run, changes it and re-coalesces equal-state neighbours.  Both leave
+the same runs, so the representation stays compact under page-granular
+traffic (EPT faults, ROM loads, background zeroing).
 
 The per-page view — :class:`Page` — is preserved as the unit the rest
 of the kernel model speaks: a small handle that resolves its state
@@ -200,7 +205,7 @@ class Page:
     def pinned(self):
         return self.pin_count > 0
 
-    # -- state writes (split-on-write through the store) -----------------
+    # -- state writes (through the store) --------------------------------
     def zero(self):
         """Fill the frame with zeros (clears any residual data)."""
         self._store._set_content(self.hpa, PageContent.ZERO, None)
@@ -371,11 +376,13 @@ class AllocatedRegion:
     # ------------------------------------------------------------------
     def _index_at(self, hpa):
         i = bisect.bisect_right(self._starts, hpa) - 1
-        if i < 0 or not (self._runs[i].hpa <= hpa < self._runs[i].end):
-            raise HardwareError(
-                f"region {self.label!r}: hpa {hpa:#x} not in region"
-            )
-        return i
+        if i >= 0:
+            run = self._runs[i]
+            if run.hpa <= hpa < run.hpa + run.nbytes:
+                return i
+        raise HardwareError(
+            f"region {self.label!r}: hpa {hpa:#x} not in region"
+        )
 
     def _split_at(self, i, hpa):
         """Ensure a run boundary at ``hpa`` inside run ``i``; return the
@@ -422,11 +429,41 @@ class AllocatedRegion:
 
     def _set_content(self, hpa, content, tag):
         i = self._index_at(hpa)
-        run = self._runs[i]
+        runs = self._runs
+        run = runs[i]
         if run.content is content and run.content_tag == tag:
             return
+        if i and run.hpa == hpa:
+            left = runs[i - 1]
+            if (left.hpa + left.nbytes == hpa and left.content is content
+                    and left.content_tag == tag
+                    and left.pin_count == run.pin_count
+                    and left.owner == run.owner):
+                # The page joins its left neighbour, which already holds
+                # the new state: move the boundary one page right.  This
+                # leaves exactly the runs the split-change-merge path
+                # below would, without splitting or cloning.
+                size = self.page_size
+                left.nbytes += size
+                if run.nbytes > size:
+                    run.hpa += size
+                    run.nbytes -= size
+                    self._starts[i] = run.hpa
+                    return
+                # ``run`` was that one page: drop it, and merge the
+                # neighbours it separated when their states are equal.
+                del runs[i]
+                del self._starts[i]
+                if i < len(runs):
+                    right = runs[i]
+                    if (left.hpa + left.nbytes == right.hpa
+                            and left.state_equals(right)):
+                        left.nbytes += right.nbytes
+                        del runs[i]
+                        del self._starts[i]
+                return
         lo, hi = self._isolate_span(hpa, hpa + self.page_size)
-        target = self._runs[lo]
+        target = runs[lo]
         target.content = content
         target.content_tag = tag
         self._merge_around(lo, hi)

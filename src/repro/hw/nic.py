@@ -85,6 +85,17 @@ class PhysicalFunction(PciDevice):
         if vlan is not None:
             vf.vlan = vlan
 
+    def reset_vf(self, vf):
+        """Clear the VF's MAC and VLAN before it goes back to the pool.
+
+        The model charges no virtual time for the reset: it rides the
+        CNI teardown, which is off the startup path the paper measures.
+        """
+        if vf.pf is not self:
+            raise HardwareError(f"VF {vf.bdf} does not belong to PF {self.bdf}")
+        vf.mac = None
+        vf.vlan = None
+
     def __repr__(self):
         return f"<PF {self.bdf} vfs={len(self.vfs)}>"
 

@@ -27,16 +27,23 @@ _EPSILON = 1e-9
 
 
 class _CpuJob(Command):
-    __slots__ = ("cpu", "amount", "finish_tag", "process")
+    """One job on the CPU; ``resume(None)`` runs when it completes.
 
-    def __init__(self, cpu, amount):
+    A yielded job resumes its process.  A job from
+    :meth:`FairShareCPU.submit` calls a plain callback, so work that is
+    not a thread of control of its own needs no process.
+    """
+
+    __slots__ = ("cpu", "amount", "finish_tag", "resume")
+
+    def __init__(self, cpu, amount, resume=None):
         self.cpu = cpu
         self.amount = amount
         self.finish_tag = None
-        self.process = None
+        self.resume = resume
 
     def subscribe(self, sim, process):
-        self.process = process
+        self.resume = process._on_resume
         self.cpu._admit(self)
 
 
@@ -48,8 +55,10 @@ class FairShareCPU:
         yield cpu.work(0.57)   # 0.57 core-seconds of single-thread work
 
     With idle cores this completes in 0.57 s of virtual time; with the
-    socket oversubscribed 4x it takes ~2.28 s.  Utilization and total
-    executed core-seconds are tracked for experiment reporting.
+    socket oversubscribed 4x it takes ~2.28 s.  Work that has no process
+    of its own goes through :meth:`submit` with a completion callback.
+    Utilization and total executed core-seconds are tracked for
+    experiment reporting.
     """
 
     __slots__ = (
@@ -104,6 +113,18 @@ class FairShareCPU:
             raise ValueError(f"negative work amount: {amount}")
         return _CpuJob(self, amount)
 
+    def submit(self, amount, callback):
+        """Run ``amount`` core-seconds of work for no process.
+
+        ``callback(None)`` runs from the ready ring when the work
+        completes, in the slot where a process that yielded
+        ``work(amount)`` at this instant would have been resumed, so
+        both forms schedule identically.
+        """
+        if amount < 0:
+            raise ValueError(f"negative work amount: {amount}")
+        self._admit(_CpuJob(self, amount, callback))
+
     @property
     def runnable_jobs(self):
         return len(self._heap)
@@ -129,7 +150,7 @@ class FairShareCPU:
     def _admit(self, job):
         self._advance()
         if job.amount <= _EPSILON:
-            self._sim._ready.append((job.process._on_resume, (None,)))
+            self._sim._ready.append((job.resume, (None,)))
             return
         job.finish_tag = self._virtual + job.amount
         heapq.heappush(self._heap, (job.finish_tag, self._admit_seq, job))
@@ -192,7 +213,7 @@ class FairShareCPU:
             finished.append(job)
         ready = self._sim._ready
         for job in finished:
-            ready.append((job.process._on_resume, (None,)))
+            ready.append((job.resume, (None,)))
         self._reschedule()
 
     def __repr__(self):

@@ -121,6 +121,19 @@ def test_vf_recycling_without_teardown_leaves_vfs_held():
     assert cluster.free_vf_total() == 2 * PAPER_TESTBED.nic_max_vfs - 20
 
 
+def test_teardown_returns_every_vf_unconfigured():
+    """A churned VF goes back to its pool without its last tenant's
+    MAC or VLAN, so the next container finds it as the PF created it."""
+    cluster = Cluster("fastiov", hosts=2, seed=0)
+    driver = ClusterChurnDriver(cluster)
+    driver.submit(40)
+    driver.run()
+    assert cluster.free_vf_total() == 2 * PAPER_TESTBED.nic_max_vfs
+    vfs = [vf for host in cluster.hosts for vf in host.nic.pf.vfs]
+    assert not any(vf.is_assigned for vf in vfs)
+    assert all(vf.mac is None and vf.vlan is None for vf in vfs)
+
+
 def test_cluster_cell_is_deterministic_in_seed():
     first = run_cluster_cell("vanilla", 40, hosts=2, seed=11)
     again = run_cluster_cell("vanilla", 40, hosts=2, seed=11)

@@ -101,6 +101,14 @@ def test_configure_vf_sets_parameters():
     assert vfs[1].mac is None
 
 
+def test_reset_vf_clears_parameters():
+    _topo, nic, vfs = make_nic(1)
+    nic.pf.configure_vf(vfs[0], mac="02:00:00:00:00:01", vlan=100)
+    nic.pf.reset_vf(vfs[0])
+    assert vfs[0].mac is None
+    assert vfs[0].vlan is None
+
+
 def test_configure_foreign_vf_rejected():
     _topo1, nic1, _ = make_nic(1)
     topo2 = PciTopology()

@@ -1,10 +1,12 @@
 """Property-based tests for the page-frame allocator (hypothesis)."""
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.errors import OutOfMemory
-from repro.hw.memory import PhysicalMemory
+from repro.hw.memory import AllocatedRegion, PageContent, PageRun, PhysicalMemory
 
 PAGE = 4096
 TOTAL_PAGES = 64
@@ -233,3 +235,194 @@ def test_runs_stay_sorted_disjoint_and_maximally_coalesced(sizes, writes):
             page = region.page_at_index(i)
             assert region.page_at_index(i) is page
             assert mem.page_at(page.hpa) is page
+
+
+# ----------------------------------------------------------------------
+# Single-page mutations against the split-change-merge oracle
+# ----------------------------------------------------------------------
+class _SplitMergeTwin:
+    """A region's runs driven by the original single-page algorithm.
+
+    Every mutation splits the page off its run (``_isolate_span``),
+    changes it, and re-coalesces it with its neighbours
+    (``_merge_around``).  The region's own fast paths must leave the
+    same runs.
+    """
+
+    def __init__(self, region):
+        self.page_size = region.page_size
+        self.runs = [run.clone(run.hpa, run.nbytes) for run in region.runs]
+        self.starts = [run.hpa for run in self.runs]
+
+    def run_at(self, hpa):
+        i = bisect.bisect_right(self.starts, hpa) - 1
+        assert self.runs[i].hpa <= hpa < self.runs[i].end
+        return i
+
+    def _split_at(self, i, hpa):
+        run = self.runs[i]
+        if run.hpa == hpa:
+            return i
+        self.runs.insert(i + 1, run.clone(hpa, run.end - hpa))
+        self.starts.insert(i + 1, hpa)
+        run.nbytes = hpa - run.hpa
+        return i + 1
+
+    def _mutate(self, hpa, change):
+        i = self._split_at(self.run_at(hpa), hpa)
+        if self.runs[i].end > hpa + self.page_size:
+            self._split_at(i, hpa + self.page_size)
+        change(self.runs[i])
+        j = max(i - 1, 0)
+        stop = min(i + 2, len(self.runs))
+        while j < stop - 1:
+            a, b = self.runs[j], self.runs[j + 1]
+            if a.end == b.hpa and a.state_equals(b):
+                a.nbytes += b.nbytes
+                del self.runs[j + 1]
+                del self.starts[j + 1]
+                stop -= 1
+            else:
+                j += 1
+
+    def set_content(self, hpa, content, tag):
+        run = self.runs[self.run_at(hpa)]
+        if run.content is content and run.content_tag == tag:
+            return
+
+        def change(run):
+            run.content = content
+            run.content_tag = tag
+
+        self._mutate(hpa, change)
+
+    def adjust_pin(self, hpa, delta):
+        def change(run):
+            run.pin_count += delta
+
+        self._mutate(hpa, change)
+
+    def set_owner(self, hpa, owner):
+        def change(run):
+            run.owner = owner
+
+        self._mutate(hpa, change)
+
+
+def _run_states(runs):
+    return [
+        (run.hpa, run.nbytes, run.content, run.content_tag, run.pin_count,
+         run.owner)
+        for run in runs
+    ]
+
+
+#: Run states a hand-built region draws from: few enough that
+#: neighbours often share all but one field.
+_CONTENTS = [
+    (PageContent.RESIDUAL, "tenant-a"),
+    (PageContent.ZERO, None),
+    (PageContent.DATA, "a"),
+    (PageContent.DATA, "b"),
+]
+_OWNERS = ["vm", "other"]
+
+
+@st.composite
+def _hand_built_regions(draw):
+    """A region whose neighbouring runs differ in exactly one field
+    (content, pin count or owner), with retrieval batches that abut or
+    sit across a gap of free frames."""
+    batches = []
+    states = []
+    hpa = 0
+    state = (draw(st.sampled_from(_CONTENTS)), 0, "vm")
+    for _batch in range(draw(st.integers(min_value=1, max_value=3))):
+        hpa += draw(st.integers(min_value=0, max_value=2)) * PAGE
+        batch = []
+        for _run in range(draw(st.integers(min_value=1, max_value=4))):
+            field = draw(st.sampled_from(["content", "pins", "owner"]))
+            content, pins, owner = state
+            if field == "content":
+                content = draw(st.sampled_from(
+                    [c for c in _CONTENTS if c != content]))
+            elif field == "pins":
+                pins = 1 - pins
+            else:
+                owner = _OWNERS[1 - _OWNERS.index(owner)]
+            state = (content, pins, owner)
+            nbytes = draw(st.integers(min_value=1, max_value=3)) * PAGE
+            batch.append(PageRun(hpa, nbytes, PAGE, *content, pin_count=pins))
+            states.append(owner)
+            hpa += nbytes
+        batches.append(batch)
+    region = AllocatedRegion(0, "vm", "hand-built", batches)
+    for run, owner in zip(region.runs, states):
+        run.owner = owner  # the constructor stamps the region's owner
+    return region
+
+
+@st.composite
+def _allocated_regions(draw):
+    """A region recycled from dirty, fragmented memory: its batches
+    abut (fragmented extents) or skip frames still held by a neighbour."""
+    mem = PhysicalMemory(TOTAL_PAGES * PAGE, PAGE)
+    mem.fragment(max_run_bytes=draw(st.integers(min_value=1, max_value=6)) * PAGE)
+    first = mem.allocate(draw(st.integers(min_value=2, max_value=8)) * PAGE, "a")
+    held = mem.allocate(draw(st.integers(min_value=1, max_value=3)) * PAGE, "b")
+    last = mem.allocate(draw(st.integers(min_value=2, max_value=8)) * PAGE, "c")
+    for region in (first, last):
+        for index in draw(st.lists(
+                st.integers(min_value=0, max_value=region.page_count - 1),
+                max_size=4)):
+            region.page_at_index(index).zero()
+    mem.free(first)
+    mem.free(last)
+    assert held.page_count
+    return mem.allocate(first.size_bytes + last.size_bytes, "vm")
+
+
+_MUTATIONS = ["zero", "zero_page", "write-a", "write-b", "pin", "unpin",
+              "owner-vm", "owner-other"]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_single_page_mutations_match_split_and_merge(data):
+    """Random single-page mutations leave exactly the runs and run
+    starts that splitting, changing and re-coalescing would."""
+    if data.draw(st.booleans(), label="hand-built"):
+        region = data.draw(_hand_built_regions())
+    else:
+        region = data.draw(_allocated_regions())
+    twin = _SplitMergeTwin(region)
+    ops = data.draw(st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS),
+                  st.integers(min_value=0, max_value=region.page_count - 1)),
+        max_size=40,
+    ))
+    for kind, index in ops:
+        page = region.page_at_index(index)
+        hpa = page.hpa
+        if kind == "zero":
+            page.zero()
+            twin.set_content(hpa, PageContent.ZERO, None)
+        elif kind == "zero_page":
+            region.zero_page(hpa)
+            twin.set_content(hpa, PageContent.ZERO, None)
+        elif kind.startswith("write-"):
+            page.write(kind[6:])
+            twin.set_content(hpa, PageContent.DATA, kind[6:])
+        elif kind == "pin":
+            page.pin()
+            twin.adjust_pin(hpa, 1)
+        elif kind == "unpin":
+            if not page.pinned:
+                continue
+            page.unpin()
+            twin.adjust_pin(hpa, -1)
+        else:
+            page.owner = kind[6:]
+            twin.set_owner(hpa, kind[6:])
+        assert _run_states(region.runs) == _run_states(twin.runs)
+        assert region._starts == twin.starts

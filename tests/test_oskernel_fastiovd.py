@@ -6,7 +6,7 @@ without the instant-zeroing list and without proactive EPT faults.
 
 import pytest
 
-from repro.hw.memory import MIB
+from repro.hw.memory import MIB, AllocatedRegion
 from repro.oskernel.kvm import PinnedBacking
 from repro.oskernel.vfio import DECOUPLED_ZEROING
 from repro.sim.core import Timeout
@@ -104,23 +104,74 @@ def test_background_scanner_drains_the_table():
     assert all(page.is_zeroed for page in state["region"].pages)
 
 
-def test_scanner_and_fault_never_double_zero_or_race():
-    """A fault racing the scanner waits for the in-flight zeroing."""
-    r = make_rig(scanner=True)
-    state = build_lazy_vm(r, ram=32 * MIB)
-    vm = state["vm"]
+def race_scanner(r, vm, ram):
+    """Touch every page of the guest's RAM, in address order, starting
+    right as the scanner begins claiming pages."""
 
     def toucher():
-        # Start touching right as the scanner begins claiming pages.
         yield Timeout(r.spec.fastiovd_scan_interval_s)
-        for gpa in range(0, 32 * MIB, r.memory.page_size):
+        for gpa in range(0, ram, r.memory.page_size):
             yield from r.kvm.guest_access(vm, gpa)
 
     r.sim.spawn(toucher())
     r.run()
+
+
+def test_scanner_and_fault_never_double_zero_or_race():
+    """A fault racing the scanner waits for the in-flight zeroing."""
+    r = make_rig(scanner=True)
+    state = build_lazy_vm(r, ram=32 * MIB)
+    race_scanner(r, state["vm"], 32 * MIB)
     stats = r.fastiovd.stats
     assert stats.fault_zeroed_pages + stats.background_zeroed_pages == 32
     assert all(page.is_zeroed for page in state["region"].pages)
+
+
+#: Every background zeroing of a 160-page lazy VM raced by the toucher,
+#: as (virtual time, first page index, pages).  The first tick's 128 MiB
+#: chunk goes to 32 shares that zero it in 4 rounds of 32 pages; faults
+#: zero pages 128-133; the second tick zeroes the last 26 pages.
+SCAN_TIMELINE = (
+    (0.004625, 0, 32),
+    (0.0052499999999999995, 32, 32),
+    (0.005875, 64, 32),
+    (0.006500000000000001, 96, 32),
+    (0.011125000000000001, 134, 26),
+)
+
+
+def test_scanner_timeline_is_pinned(monkeypatch):
+    """The scanner's zeroing order and times, and the faults' share of
+    the work, pinned to literals."""
+    ram = 160 * MIB
+    r = make_rig(scanner=True)
+    state = build_lazy_vm(r, ram=ram)
+    region = state["region"].allocation
+    index_of = {}
+    for start, end in region.index_spans(0, region.page_count):
+        for hpa in range(start, end, region.page_size):
+            index_of[hpa] = len(index_of)
+    zeroed = []
+    zero_page = AllocatedRegion.zero_page
+
+    def recording_zero_page(self, hpa):
+        zeroed.append((r.sim.now, index_of[hpa]))
+        zero_page(self, hpa)
+
+    monkeypatch.setattr(AllocatedRegion, "zero_page", recording_zero_page)
+    race_scanner(r, state["vm"], ram)
+    assert zeroed == [
+        (now, first + k)
+        for now, first, count in SCAN_TIMELINE
+        for k in range(count)
+    ]
+    stats = r.fastiovd.stats
+    assert stats.fault_wait_events == 4
+    assert stats.fault_zeroed_pages == 6
+    assert stats.background_zeroed_pages == 154
+    # Only the test's own processes ran (the VM set-up flow, the
+    # scanner and the toucher): scan shares are not processes.
+    assert r.sim._spawned == 3
 
 
 def test_scanner_respects_chunk_budget():

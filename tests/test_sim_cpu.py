@@ -77,6 +77,32 @@ def test_negative_work_rejected():
         FairShareCPU(sim, cores=0)
 
 
+def test_submitted_work_shares_the_cpu_like_yielded_work():
+    """``submit`` runs work for no process: its callback fires from the
+    ready ring where a process yielding the same work would resume."""
+    sim = Simulator()
+    cpu = FairShareCPU(sim, cores=1)
+    order = []
+
+    def worker():
+        yield cpu.work(1.0)
+        order.append(("process", sim.now))
+
+    def submitter():
+        cpu.submit(1.0, lambda _value: order.append(("callback", sim.now)))
+        cpu.submit(0.0, lambda _value: order.append(("empty", sim.now)))
+        assert order == []  # completion never runs synchronously
+        yield Timeout(0)
+
+    sim.spawn(worker())
+    sim.spawn(submitter())
+    sim.run(until=3.0)  # past the last live process, for the callback
+    # Equal finish tags complete in admission order.
+    assert order == [("empty", 0.0), ("process", 2.0), ("callback", 2.0)]
+    with pytest.raises(ValueError):
+        cpu.submit(-1.0, print)
+
+
 def test_total_core_seconds_is_conserved():
     amounts = [0.3, 1.7, 2.2, 0.9, 4.0]
     _sim, cpu, _finish = run_jobs(2, [(0.1 * i, a) for i, a in enumerate(amounts)])
