@@ -15,7 +15,10 @@ Holds the machinery for decoupled (lazy) page zeroing:
   let the guest proceed.
 * A **background scanner** daemon that drains remaining table entries
   during idle/overlappable time, bounded to ``fastiovd_scan_workers``
-  cores so it cannot starve foreground startup work.
+  cores so it cannot starve foreground startup work.  Each tick claims
+  a chunk and zeroes it in rounds of up to ``fastiovd_scan_workers``
+  pages, one page per worker; a round runs as one multi-job CPU entry
+  and releases its pages in claim order before the next is admitted.
 
 Concurrency safety: a page is *claimed* (removed from the table and
 given an in-flight completion event) before any zeroing starts, so a
@@ -159,51 +162,6 @@ class FastiovdStats:
         )
 
 
-class _ScanShare:
-    """One scan worker's share of a tick: every ``stride``-th claim from
-    ``first`` on, zeroed page by page.
-
-    A share runs as a chain of CPU jobs with no process of its own.
-    Each step runs from the ready ring: the first where the scan loop
-    queued it, every later one when the CPU completes the share's job.
-    A step zeroes the page whose job just completed, releases that
-    page's claim, and submits the job for the next page.  ``resume`` is
-    the share's bound step, made once; the last step drops it, so a
-    finished share is not a reference cycle (DESIGN.md §8).
-    """
-
-    __slots__ = ("_daemon", "_claimed", "_index", "_stride", "_end",
-                 "resume")
-
-    def __init__(self, daemon, claimed, first, stride):
-        self._daemon = daemon
-        self._claimed = claimed
-        #: The claim whose zeroing job is running; negative before the
-        #: first step.
-        self._index = first - stride
-        self._stride = stride
-        self._end = len(claimed)
-        self.resume = self._step
-
-    def _step(self, _value):
-        daemon = self._daemon
-        index = self._index
-        if index >= 0:
-            key, region = self._claimed[index]
-            region.zero_page(key[1])
-            daemon._release_claim(key)
-            daemon.stats.background_zeroed_pages += 1
-        index = self._index = index + self._stride
-        if index < self._end:
-            region = self._claimed[index][1]
-            daemon._dram.submit(
-                daemon._spec.zeroing_cpu_seconds(region.page_size),
-                self.resume)
-        else:
-            self.resume = None
-            daemon._share_done()
-
-
 class Fastiovd:
     """The fastiovd kernel module."""
 
@@ -231,10 +189,6 @@ class Fastiovd:
         self._inflight = {}
         self._instant = {}  # pid -> set of hpas on the instant list
         self.stats = FastiovdStats()
-        #: Shares of the current scan tick still zeroing, and the event
-        #: the scan loop waits on until the last one ends.
-        self._shares_left = 0
-        self._tick_done = None
         self._scanner_enabled = start_scanner
         if start_scanner:
             sim.spawn(self._scan_loop(), name=f"{name}-scanner", daemon=True)
@@ -433,21 +387,26 @@ class Fastiovd:
             trace = self._sim.trace
             if trace is not None:
                 trace.begin(trace.current_track(), "scan-tick")
-            # Split the chunk across the bounded worker pool; each
-            # worker's share runs one single-threaded zeroing job at a
-            # time on the shared CPU, so interference is capped at
-            # scan_workers cores.  Each share's first step is queued on
-            # the ready ring, not run here: whatever is already queued
-            # at this instant admits its CPU job first, and equal
-            # finish tags complete in admission order.
-            workers = min(spec.fastiovd_scan_workers, len(claimed))
-            self._shares_left = workers
-            done = self._tick_done = SimEvent(self._sim, name="scan-tick")
-            ready = self._sim._ready
-            for first in range(workers):
-                share = _ScanShare(self, claimed, first, workers)
-                ready.append((share.resume, (None,)))
-            yield done.wait()
+            # The bounded worker pool zeroes the chunk in rounds: each
+            # of up to scan_workers workers zeroes one page at a time on
+            # the shared CPU, so interference is capped at scan_workers
+            # cores.  A host has one page size, so a round's jobs are
+            # admitted together with one amount, share one finish tag
+            # and complete together: one k-job CPU entry per round.
+            workers = spec.fastiovd_scan_workers
+            amount = spec.zeroing_cpu_seconds(claimed[0][1].page_size)
+            # Admit behind whatever is already queued at this instant,
+            # so an equal job queued there completes first.
+            yield Timeout(0)
+            for first in range(0, len(claimed), workers):
+                batch = claimed[first:first + workers]
+                yield self._dram.work(amount, jobs=len(batch))
+                for key, region in batch:
+                    region.zero_page(key[1])
+                    self._release_claim(key)
+                self.stats.background_zeroed_pages += len(batch)
+            # End the tick behind the fault waiters the last round woke.
+            yield Timeout(0)
             if trace is not None:
                 trace.end(trace.current_track())
                 trace.sample_probes(self.probe_owner)
@@ -479,12 +438,6 @@ class Fastiovd:
             if not table:
                 self._pending.pop(pid, None)
         return claimed
-
-    def _share_done(self):
-        """A scan share zeroed its last page; the tick ends with the last."""
-        self._shares_left -= 1
-        if not self._shares_left:
-            self._tick_done.trigger()
 
     def __repr__(self):
         return (

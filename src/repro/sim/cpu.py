@@ -27,20 +27,22 @@ _EPSILON = 1e-9
 
 
 class _CpuJob(Command):
-    """One job on the CPU; ``resume(None)`` runs when it completes.
+    """``jobs`` identical single-threaded jobs as one heap entry.
 
-    A yielded job resumes its process.  A job from
-    :meth:`FairShareCPU.submit` calls a plain callback, so work that is
-    not a thread of control of its own needs no process.
+    Admitted at one instant with one amount, the jobs share one finish
+    tag and complete together, so one entry carries all of them: it
+    counts ``jobs`` toward the runnable total, and ``resume(None)``
+    resumes the yielding process once, when they complete.
     """
 
-    __slots__ = ("cpu", "amount", "finish_tag", "resume")
+    __slots__ = ("cpu", "amount", "jobs", "finish_tag", "resume")
 
-    def __init__(self, cpu, amount, resume=None):
+    def __init__(self, cpu, amount, jobs):
         self.cpu = cpu
         self.amount = amount
+        self.jobs = jobs
         self.finish_tag = None
-        self.resume = resume
+        self.resume = None
 
     def subscribe(self, sim, process):
         self.resume = process._on_resume
@@ -55,8 +57,8 @@ class FairShareCPU:
         yield cpu.work(0.57)   # 0.57 core-seconds of single-thread work
 
     With idle cores this completes in 0.57 s of virtual time; with the
-    socket oversubscribed 4x it takes ~2.28 s.  Work that has no process
-    of its own goes through :meth:`submit` with a completion callback.
+    socket oversubscribed 4x it takes ~2.28 s.  ``work(amount, jobs=k)``
+    runs k such jobs side by side and resumes once, when all are done.
     Utilization and total executed core-seconds are tracked for
     experiment reporting.
     """
@@ -67,6 +69,7 @@ class FairShareCPU:
         "name",
         "_virtual",
         "_heap",
+        "_runnable",
         "_admit_seq",
         "_last_update",
         "_version",
@@ -94,6 +97,8 @@ class FairShareCPU:
         #: been runnable the whole time (the fair-queueing virtual clock).
         self._virtual = 0.0
         self._heap = []  # (finish_tag, admit_seq, job)
+        #: Runnable jobs: the sum of ``jobs`` over the heap's entries.
+        self._runnable = 0
         self._admit_seq = 0
         self._last_update = sim.now
         self._version = 0
@@ -103,46 +108,50 @@ class FairShareCPU:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def work(self, amount):
-        """Return a command performing ``amount`` core-seconds of work.
+    def work(self, amount, jobs=1):
+        """Return a command performing ``jobs`` single-threaded jobs of
+        ``amount`` core-seconds each; the yielder resumes once, when
+        they are all done.
 
-        ``amount`` may be zero, which completes immediately (useful for
-        data-dependent costs that can legitimately be empty).
+        The jobs schedule exactly as ``jobs`` processes yielding
+        ``work(amount)`` at this instant would: each counts toward the
+        runnable total, and all share one finish tag.  ``amount`` may be
+        zero, which completes immediately (useful for data-dependent
+        costs that can legitimately be empty).
         """
         if amount < 0:
             raise ValueError(f"negative work amount: {amount}")
-        return _CpuJob(self, amount)
-
-    def submit(self, amount, callback):
-        """Run ``amount`` core-seconds of work for no process.
-
-        ``callback(None)`` runs from the ready ring when the work
-        completes, in the slot where a process that yielded
-        ``work(amount)`` at this instant would have been resumed, so
-        both forms schedule identically.
-        """
-        if amount < 0:
-            raise ValueError(f"negative work amount: {amount}")
-        self._admit(_CpuJob(self, amount, callback))
+        if jobs < 1:
+            raise ValueError(f"jobs must be positive, got {jobs}")
+        return _CpuJob(self, amount, jobs)
 
     @property
     def runnable_jobs(self):
-        return len(self._heap)
+        return self._runnable
 
     @property
     def rate_per_job(self):
         """Current cores-per-job share (0 when idle)."""
-        if not self._heap:
+        if not self._runnable:
             return 0.0
-        return min(1.0, self.cores / len(self._heap))
+        return min(1.0, self.cores / self._runnable)
 
     def utilization(self):
-        """Mean fraction of the socket busy since simulation start."""
-        self._advance()
-        elapsed = self._sim.now
-        if elapsed <= 0:
+        """Mean fraction of the socket busy since simulation start.
+
+        A pure read: the busy time since the last state change is added
+        here, not folded into the CPU's state, so reading mid-run moves
+        no later finish time.
+        """
+        now = self._sim.now
+        if now <= 0:
             return 0.0
-        return self.busy_core_seconds / (elapsed * self.cores)
+        busy = self.busy_core_seconds
+        elapsed = now - self._last_update
+        n = self._runnable
+        if elapsed > 0 and n:
+            busy += min(n, self.cores) * elapsed
+        return busy / (now * self.cores)
 
     # ------------------------------------------------------------------
     # internals
@@ -155,6 +164,7 @@ class FairShareCPU:
         job.finish_tag = self._virtual + job.amount
         heapq.heappush(self._heap, (job.finish_tag, self._admit_seq, job))
         self._admit_seq += 1
+        self._runnable += job.jobs
         self._reschedule()
 
     def _advance(self):
@@ -162,7 +172,7 @@ class FairShareCPU:
         now = self._sim.now
         elapsed = now - self._last_update
         self._last_update = now
-        n = len(self._heap)
+        n = self._runnable
         if elapsed <= 0 or not n:
             return
         rate = min(1.0, self.cores / n)
@@ -178,9 +188,10 @@ class FairShareCPU:
             if timer is not None:
                 timer.cancel()
                 self._timer = None
-        if not self._heap:
+        n = self._runnable
+        if not n:
             return
-        rate = min(1.0, self.cores / len(self._heap))
+        rate = min(1.0, self.cores / n)
         shortest = self._heap[0][0] - self._virtual
         eta = self._sim.now + max(0.0, shortest) / rate
         sim = self._sim
@@ -213,8 +224,9 @@ class FairShareCPU:
             finished.append(job)
         ready = self._sim._ready
         for job in finished:
+            self._runnable -= job.jobs
             ready.append((job.resume, (None,)))
         self._reschedule()
 
     def __repr__(self):
-        return f"<FairShareCPU {self.name} cores={self.cores} jobs={len(self._heap)}>"
+        return f"<FairShareCPU {self.name} cores={self.cores} jobs={self._runnable}>"

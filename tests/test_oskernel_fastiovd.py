@@ -5,11 +5,15 @@ without the instant-zeroing list and without proactive EPT faults.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.memory import MIB, AllocatedRegion
+from repro.oskernel.fastiovd import Fastiovd
 from repro.oskernel.kvm import PinnedBacking
 from repro.oskernel.vfio import DECOUPLED_ZEROING
 from repro.sim.core import Timeout
+from repro.sim.sync import SimEvent
 from tests.conftest import KernelRig
 
 
@@ -129,7 +133,7 @@ def test_scanner_and_fault_never_double_zero_or_race():
 
 #: Every background zeroing of a 160-page lazy VM raced by the toucher,
 #: as (virtual time, first page index, pages).  The first tick's 128 MiB
-#: chunk goes to 32 shares that zero it in 4 rounds of 32 pages; faults
+#: chunk goes to 32 workers that zero it in 4 rounds of 32 pages; faults
 #: zero pages 128-133; the second tick zeroes the last 26 pages.
 SCAN_TIMELINE = (
     (0.004625, 0, 32),
@@ -170,8 +174,160 @@ def test_scanner_timeline_is_pinned(monkeypatch):
     assert stats.fault_zeroed_pages == 6
     assert stats.background_zeroed_pages == 154
     # Only the test's own processes ran (the VM set-up flow, the
-    # scanner and the toucher): scan shares are not processes.
+    # scanner and the toucher): scan workers are not processes.
     assert r.sim._spawned == 3
+
+
+# ----------------------------------------------------------------------
+# scanner rounds vs one process per worker
+# ----------------------------------------------------------------------
+def _per_worker_share(daemon, share, amount, done, left):
+    for key, region in share:
+        yield daemon._dram.work(amount)
+        region.zero_page(key[1])
+        daemon._release_claim(key)
+        daemon.stats.background_zeroed_pages += 1
+    left[0] -= 1
+    if not left[0]:
+        done.trigger()
+
+
+def per_worker_scan_loop(self):
+    """The scanner with one daemon process per worker, each zeroing
+    every ``workers``-th claim one page at a time: the model the round
+    loop must reproduce exactly.  The rig has no ticker, so it sleeps
+    on its own timer."""
+    spec = self._spec
+    sim = self._sim
+    while True:
+        yield Timeout(spec.fastiovd_scan_interval_s)
+        claimed = self._claim_chunk(spec.fastiovd_scan_chunk_bytes)
+        if not claimed:
+            continue
+        trace = sim.trace
+        if trace is not None:
+            trace.begin(trace.current_track(), "scan-tick")
+        workers = min(spec.fastiovd_scan_workers, len(claimed))
+        amount = spec.zeroing_cpu_seconds(claimed[0][1].page_size)
+        done = SimEvent(sim, name="scan-tick")
+        left = [workers]
+        for first in range(workers):
+            sim.spawn(
+                _per_worker_share(self, claimed[first::workers], amount,
+                                  done, left),
+                name=f"{self.name}-worker-{first}", daemon=True)
+        yield done.wait()
+        if trace is not None:
+            trace.end(trace.current_track())
+            trace.sample_probes(self.probe_owner)
+
+
+class _ProbeLogTrace:
+    """A trace whose hooks do nothing, except that ``timer_wrap`` keeps
+    the callback and ``sample_probes`` logs the fault counters."""
+
+    def __init__(self, rig, log):
+        self._rig = rig
+        self._log = log
+
+    def __getattr__(self, _name):
+        return _no_op
+
+    def timer_wrap(self, callback, _when):
+        return callback
+
+    def sample_probes(self, _owner):
+        rig = self._rig
+        self._log.append(("probe", rig.sim.now, rig.kvm.ept_faults_serviced,
+                          rig.fastiovd.stats.fault_zeroed_pages))
+
+
+def _no_op(*_args, **_kwargs):
+    return None
+
+
+def run_scan_race(scan_loop, ram_pages, chunk_pages, workers, start, first,
+                  stride, write, competitor_tick):
+    """Race a toucher against the scanner; return everything observable.
+
+    The log holds, in order, every background ``zero_page``, every
+    toucher access, the competitor's finish and every probe sample.
+    ``competitor_tick`` spawns a job of one page's zeroing cost from
+    inside that tick's claim, so it queues ahead of the tick's first
+    round.
+    """
+    log = []
+    with pytest.MonkeyPatch.context() as patch:
+        if scan_loop is not None:
+            patch.setattr(Fastiovd, "_scan_loop", scan_loop)
+        spec = KernelRig().spec.derive(
+            fastiovd_scan_chunk_bytes=chunk_pages * MIB,
+            fastiovd_scan_workers=workers)
+        r = KernelRig(spec=spec, lock_policy="hierarchical",
+                      with_fastiovd=True)
+        r.bind_all_vfs_to_vfio()
+        state = build_lazy_vm(r, ram=ram_pages * MIB)
+        sim = r.sim
+        sim.trace = _ProbeLogTrace(r, log)
+        zero_page = AllocatedRegion.zero_page
+
+        def logging_zero_page(region, hpa):
+            log.append(("zero", sim.now, hpa))
+            zero_page(region, hpa)
+
+        patch.setattr(AllocatedRegion, "zero_page", logging_zero_page)
+        claim_chunk = Fastiovd._claim_chunk
+        ticks = [0]
+
+        def competitor():
+            yield r.cpu.work(spec.zeroing_cpu_seconds(spec.page_size))
+            log.append(("competitor", sim.now))
+
+        def claiming(daemon, budget_bytes):
+            claimed = claim_chunk(daemon, budget_bytes)
+            if claimed:
+                if ticks[0] == competitor_tick:
+                    sim.spawn(competitor())
+                ticks[0] += 1
+            return claimed
+
+        patch.setattr(Fastiovd, "_claim_chunk", claiming)
+
+        def toucher():
+            yield Timeout(start)
+            for page in range(first, ram_pages, stride):
+                yield from r.kvm.guest_access(
+                    state["vm"], page * MIB, write=write, tag="guest")
+                log.append(("touch", sim.now, page))
+
+        sim.spawn(toucher())
+        # Long enough for the toucher to finish and the table to drain.
+        sim.run(until=sim.now + 0.1 + ram_pages // chunk_pages
+                * spec.fastiovd_scan_interval_s)
+        stats = r.fastiovd.stats
+        return (log, vars(stats), sim.now, r.cpu.busy_core_seconds,
+                r.cpu.total_core_seconds)
+
+
+@given(
+    ram_pages=st.integers(min_value=1, max_value=96),
+    chunk_pages=st.integers(min_value=1, max_value=64),
+    workers=st.integers(min_value=1, max_value=70),
+    start=st.integers(min_value=0, max_value=64).map(lambda q: q * 0.000125),
+    first=st.integers(min_value=0, max_value=95),
+    stride=st.integers(min_value=1, max_value=6),
+    write=st.booleans(),
+    competitor_tick=st.sampled_from([None, 0, 1, 2]),
+)
+@settings(max_examples=200, deadline=None)
+def test_scan_rounds_match_one_process_per_worker(
+        ram_pages, chunk_pages, workers, start, first, stride, write,
+        competitor_tick):
+    """Rounds zero, release and wake exactly as per-worker processes."""
+    args = (ram_pages, chunk_pages, workers, start, first % ram_pages,
+            stride, write, competitor_tick)
+    assert run_scan_race(None, *args) == run_scan_race(
+        per_worker_scan_loop, *args)
 
 
 def test_scanner_respects_chunk_budget():

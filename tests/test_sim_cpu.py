@@ -1,6 +1,8 @@
 """Unit tests for the processor-sharing CPU model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import FairShareCPU, Simulator, Timeout
 
@@ -77,30 +79,88 @@ def test_negative_work_rejected():
         FairShareCPU(sim, cores=0)
 
 
-def test_submitted_work_shares_the_cpu_like_yielded_work():
-    """``submit`` runs work for no process: its callback fires from the
-    ready ring where a process yielding the same work would resume."""
+# ----------------------------------------------------------------------
+# k-job work: one heap entry schedules exactly like k single jobs
+# ----------------------------------------------------------------------
+#: Amounts from a small set make equal finish tags (ties) common.
+amounts = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+#: Quantized start times make equal admission instants common.
+starts = st.integers(min_value=0, max_value=8).map(lambda q: q * 0.25)
+
+
+def run_k_jobs(cores, k, amount, start, background, batched):
+    """k jobs of ``amount`` admitted at ``start``, between a foreground
+    job of the same amount just before and one just after them.
+
+    ``batched`` yields them as one ``work(amount, jobs=k)``; otherwise
+    k processes yield ``work(amount)`` each.  Returns what any other
+    process can observe: its steps in order, each with the clock and
+    the CPU's ``runnable_jobs`` and ``rate_per_job`` at that step; the
+    k jobs' completion times; and the CPU's totals.
+    """
     sim = Simulator()
-    cpu = FairShareCPU(sim, cores=1)
-    order = []
+    cpu = FairShareCPU(sim, cores=cores)
+    steps = []
+    k_done = []
 
-    def worker():
-        yield cpu.work(1.0)
-        order.append(("process", sim.now))
+    def observe(tag):
+        steps.append((tag, sim.now, cpu.runnable_jobs, cpu.rate_per_job))
 
-    def submitter():
-        cpu.submit(1.0, lambda _value: order.append(("callback", sim.now)))
-        cpu.submit(0.0, lambda _value: order.append(("empty", sim.now)))
-        assert order == []  # completion never runs synchronously
-        yield Timeout(0)
+    def proc(tag, delay, work_amount):
+        yield Timeout(delay)
+        observe((tag, "admit"))
+        yield cpu.work(work_amount)
+        observe((tag, "done"))
 
-    sim.spawn(worker())
-    sim.spawn(submitter())
-    sim.run(until=3.0)  # past the last live process, for the callback
-    # Equal finish tags complete in admission order.
-    assert order == [("empty", 0.0), ("process", 2.0), ("callback", 2.0)]
+    def k_proc(jobs):
+        yield Timeout(start)
+        yield cpu.work(amount, jobs=jobs)
+        k_done.append(sim.now)
+
+    for tag, (delay, work_amount) in enumerate(background):
+        sim.spawn(proc(tag, delay, work_amount))
+    sim.spawn(proc("before", start, amount))
+    if batched:
+        sim.spawn(k_proc(k))
+    else:
+        for _ in range(k):
+            sim.spawn(k_proc(1))
+    sim.spawn(proc("after", start, amount))
+    sim.run()
+    return (steps, k_done, cpu.busy_core_seconds, cpu.total_core_seconds,
+            sim.now)
+
+
+@given(
+    cores=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=9),
+    amount=amounts,
+    start=starts,
+    background=st.lists(st.tuples(starts, amounts), max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_k_job_work_schedules_like_k_single_jobs(cores, k, amount, start,
+                                                background):
+    """``work(a, jobs=k)`` from one process is bit-identical, for every
+    other process, to k processes yielding ``work(a)`` at that instant."""
+    steps, k_done, busy, total, end = run_k_jobs(
+        cores, k, amount, start, background, batched=True)
+    ref_steps, ref_done, ref_busy, ref_total, ref_end = run_k_jobs(
+        cores, k, amount, start, background, batched=False)
+    assert steps == ref_steps
+    assert k_done * k == ref_done
+    assert (busy, total, end) == (ref_busy, ref_total, ref_end)
+
+
+def test_k_job_work_rejects_no_jobs():
+    cpu = FairShareCPU(Simulator(), cores=1)
     with pytest.raises(ValueError):
-        cpu.submit(-1.0, print)
+        cpu.work(1.0, jobs=0)
+    with pytest.raises(ValueError):
+        cpu.work(1.0, jobs=-2)
 
 
 def test_total_core_seconds_is_conserved():
@@ -121,6 +181,51 @@ def test_utilization_bounded_and_sane():
     util = cpu.utilization()
     # 2.0 core-seconds of a 2-core socket over 2 s elapsed = 0.5.
     assert util == pytest.approx(0.5)
+
+
+def run_with_reads(cores, jobs, read_times, read):
+    """Run ``jobs`` with a reader waking at ``read_times``; the reader
+    calls ``utilization()`` only when ``read``.  Returns every job's
+    finish time and the CPU's final state."""
+    sim = Simulator()
+    cpu = FairShareCPU(sim, cores=cores)
+    finish = {}
+
+    def proc(tag, delay, amount):
+        yield Timeout(delay)
+        yield cpu.work(amount)
+        finish[tag] = sim.now
+
+    def reader():
+        last = 0.0
+        for when in read_times:
+            yield Timeout(when - last)
+            last = when
+            if read:
+                cpu.utilization()
+
+    for tag, (delay, amount) in enumerate(jobs):
+        sim.spawn(proc(tag, delay, amount))
+    sim.spawn(reader())
+    sim.run()
+    return (finish, cpu.utilization(), cpu.busy_core_seconds,
+            cpu.total_core_seconds)
+
+
+@given(
+    cores=st.sampled_from([1, 2, 3, 11]),
+    jobs=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=0.01, max_value=2.0)),
+        min_size=20, max_size=20),
+    read_times=st.lists(st.floats(min_value=0.0, max_value=6.0),
+                        min_size=30, max_size=30).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_utilization_is_a_pure_read(cores, jobs, read_times):
+    """Reading utilization mid-run moves no finish time and no total."""
+    assert (run_with_reads(cores, jobs, read_times, read=True)
+            == run_with_reads(cores, jobs, read_times, read=False))
 
 
 def test_makespan_matches_total_work_under_saturation():
