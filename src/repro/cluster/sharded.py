@@ -61,10 +61,10 @@ round-robin, and the K > 1 result is byte-identical to the
 single-process run for this case too.
 
 Workers form a flat star around the coordinator: one pipe per worker,
-at most one outstanding request on each.  The hot messages speak the
-struct-packed framing of :mod:`repro.cluster.wire`; a worker that dies
-mid-run surfaces as a :class:`RuntimeError` naming its index and
-shards, and the group reaps every child before the error propagates.
+at most one outstanding request on each, and every message one pickled
+frame (:mod:`repro.cluster.wire`).  A worker that dies mid-run surfaces
+as a :class:`RuntimeError` naming its index and shards, and the group
+reaps every child before the error propagates.
 
 ``shards=1`` requests are routed by :func:`~repro.cluster.churn.run_cluster_cell`
 to the single-process :class:`Cluster` path — with continuous (not
@@ -250,34 +250,37 @@ class _ShardSet:
         self.shards = {}
 
 
-def _worker_main(conn, shard_specs):
+def _worker_main(conn, shard_specs, probed):
     """Worker entry: build the assigned shards and serve the protocol.
 
-    Blocked time on the pipe counts as barrier wait; each op's own
-    work counts as compute.  Any exception ships to the coordinator as
-    an ``error`` reply carrying the traceback.
+    ``probed`` is the coordinator's telemetry decision.  Blocked time
+    on the pipe counts as barrier wait; each op's own work counts as
+    compute.  Any exception ships to the coordinator as an ``error``
+    reply carrying the traceback.
     """
+    probe = None
+    if probed:
+        name = multiprocessing.current_process().name
+        probe = RuntimeProbe(
+            name.replace("repro-shard-", "") or "worker",
+            hosts=sorted(
+                [spec["host_start"], spec["host_stop"]]
+                for _sid, spec in shard_specs
+            ),
+        )
+    # The fork inherited the coordinator's probe and aggregator: replace
+    # both before any frame moves, so no record lands in the copies.
+    runtime.set_probe(probe)
+    runtime.set_aggregator(None)
     try:
-        probe = None
-        if runtime.probes_enabled():
-            name = multiprocessing.current_process().name
-            probe = RuntimeProbe(
-                name.replace("repro-shard-", "") or "worker",
-                hosts=sorted(
-                    [spec["host_start"], spec["host_stop"]]
-                    for _sid, spec in shard_specs
-                ),
-            )
-            runtime.set_probe(probe)
-            wire.set_probe(probe)
         shards = _ShardSet(shard_specs)
         wait_s = 0.0
         while True:
             waited = time.perf_counter()
             if probe is not None:
-                # Separate the blocked wait from the decode: poll first
-                # so barrier_wait covers only the blocking, and
-                # wire.recv's internal ipc_recv lap only the decode.
+                # Separate the blocked wait from the unpickling: poll
+                # first so barrier_wait covers only the blocking, and
+                # wire.recv's internal ipc_recv lap only the unpickling.
                 conn.poll(None)
                 probe.lap("barrier_wait", waited)
             message = wire.recv(conn)
@@ -319,7 +322,7 @@ class _WorkerGroup:
     becomes a :class:`RuntimeError` naming the worker and its shards.
     """
 
-    def __init__(self, shard_specs, workers):
+    def __init__(self, shard_specs, workers, probed):
         context = multiprocessing.get_context("fork")
         self._procs = []
         self._conns = []
@@ -332,7 +335,8 @@ class _WorkerGroup:
                 chunk = shard_specs[index::workers]
                 parent_conn, child_conn = context.Pipe()
                 proc = context.Process(
-                    target=_worker_main, args=(child_conn, chunk),
+                    target=_worker_main,
+                    args=(child_conn, chunk, probed),
                     name=f"repro-shard-worker-{index}",
                 )
                 proc.start()
@@ -414,7 +418,7 @@ class _WorkerGroup:
         self._conns = []
 
 
-def _make_group(shard_specs, workers):
+def _make_group(shard_specs, workers, probed):
     if workers is None:
         workers = len(shard_specs)
     # A multiprocessing.Pool worker is daemonic and may not fork
@@ -423,7 +427,8 @@ def _make_group(shard_specs, workers):
         workers = 0
     if workers < 1:
         return _ShardSet(shard_specs)
-    return _WorkerGroup(shard_specs, min(workers, len(shard_specs)))
+    return _WorkerGroup(shard_specs, min(workers, len(shard_specs)),
+                        probed)
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +466,8 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             snapshot (``repro.obs.runtime``): per-process phase
             totals, spans and wire accounting for the coordinator and
             every worker.  Passing it (or setting
-            ``REPRO_RUNTIME_PROBES=1``) enables the probes; either way
+            ``REPRO_RUNTIME_PROBES=1``) enables the probes, and forked
+            workers get the decision as a spawn argument; either way
             results stay byte-identical.
         Other arguments: as for ``run_cluster_cell``.
     """
@@ -501,26 +507,19 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
 
     lookahead = min_startup_lookahead(spec)
     probes = telemetry is not None or runtime.probes_enabled()
-    prev_probes_env = os.environ.get("REPRO_RUNTIME_PROBES")
     aggregator = None
     coord_probe = None
     if probes:
-        # Workers decide from the environment (inherited across fork),
-        # so an explicit ``telemetry=`` request must arm it before the
-        # group spawns; restored below.
-        os.environ["REPRO_RUNTIME_PROBES"] = "1"
         aggregator = TelemetryAggregator()
         coord_probe = RuntimeProbe("coordinator")
         aggregator.attach_local(coord_probe)
         runtime.set_aggregator(aggregator)
         runtime.set_probe(coord_probe)
-        wire.set_probe(coord_probe)
-        wire.set_telemetry_sink(aggregator.ingest)
     stats = _CoordinatorStats(probe=coord_probe)
     tracker = None
     group = None
     try:
-        group = _make_group(shard_specs, workers)
+        group = _make_group(shard_specs, workers, probes)
         if placement == "round-robin":
             _place_round_robin(group, order, offsets, hosts, host_shard,
                                stats)
@@ -534,14 +533,8 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         if group is not None:
             group.close()
         if probes:
-            wire.set_probe(None)
-            wire.set_telemetry_sink(None)
             runtime.set_probe(None)
             runtime.set_aggregator(None)
-            if prev_probes_env is None:
-                os.environ.pop("REPRO_RUNTIME_PROBES", None)
-            else:
-                os.environ["REPRO_RUNTIME_PROBES"] = prev_probes_env
     results = [results[shard_id] for shard_id in sorted(results)]
     if telemetry is not None and aggregator is not None:
         snapshot = aggregator.snapshot()
@@ -621,6 +614,7 @@ def _place_round_robin(group, order, offsets, hosts, host_shard, stats):
         batches.setdefault(host_shard[host_index], []).append(
             (n, offsets[n], host_index)
         )
+    runtime.note_progress(len(order), len(order), 0)
     stats.steps += 1
     group.step(0.0, 0.0, batches)
 

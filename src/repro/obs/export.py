@@ -35,7 +35,7 @@ Track naming (documented contract; the exporter shape tests pin it):
   ``coordinator`` is always pid 0, then the workers in the
   aggregator's display order.
 * Every process carries one ``[wall] phases`` thread (tid 0) with its
-  runtime phase spans (complete ``X`` events) and its instants.
+  runtime phase spans (complete ``X`` events).
   Worker processes whose records carry a ``hosts`` range additionally
   adopt the *virtual* tracks of the hosts they simulate, as ``[virt]
   <track>`` threads — virtual and wall timelines of the same worker
@@ -134,9 +134,9 @@ def to_dual_clock_trace(telemetry, bundle=None):
     One process group per probed process (coordinator pid 0, then the
     aggregator's display order).  Each group carries a ``[wall]
     phases`` thread (tid 0) with the probe's phase spans as complete
-    (``X``) events and its instants; wall timestamps are microseconds
-    since the earliest probe birth, aligned across processes via each
-    probe's wall/perf birth pair.
+    (``X``) events; wall timestamps are microseconds since the earliest
+    probe birth, aligned across processes via each probe's wall/perf
+    birth pair.
     With a ``bundle``, every virtual track joins the process group of
     the worker whose host range contains its host index (coordinator's
     group when no range claims it) as a ``[virt] <track>`` thread —
@@ -171,11 +171,6 @@ def to_dual_clock_trace(telemetry, bundle=None):
              "pid": pid, "tid": 0, "name": phase, "cat": "wall"}
             for phase, began, ended in record.get("spans", [])
         ]
-        thread.extend(
-            {"ph": "i", "ts": base + rel * 1e6, "pid": pid, "tid": 0,
-             "name": name, "s": "t", "cat": "wall"}
-            for rel, name in record.get("instants", [])
-        )
         thread.sort(key=lambda event: event["ts"])
         events.extend(thread)
         next_tid[pid] = 1

@@ -10,7 +10,7 @@ and repaints a compact dashboard a few times per second:
 * one row per process — coordinator, workers — with its step rate
   (epochs/s), wire throughput (bytes/s), and the share of its
   wall-clock in each runtime phase;
-* cumulative wire traffic by frame type, pickle fallbacks surfaced.
+* cumulative wire traffic by op.
 
 Everything rendered here is read-only telemetry: the view thread
 never touches simulation state, so a run behaves byte-identically
@@ -90,6 +90,10 @@ def render(aggregator, now=None, eta_s=None, width=100):
         )
         bar = int(pct / 100.0 * 40)
         lines.append("[" + "#" * bar + "-" * (40 - bar) + "]")
+    elif aggregator.latest:
+        # Records but no progress: a single-process cell, which
+        # places its own arrivals and notes no progress.
+        lines.append(f"repro top — {elapsed:6.1f}s elapsed")
     else:
         lines.append(f"repro top — {elapsed:6.1f}s elapsed | waiting "
                      "for telemetry...")
@@ -107,23 +111,18 @@ def render(aggregator, now=None, eta_s=None, width=100):
         lines.append(row)
     lines.append("")
     wire_totals = {}
-    fallbacks = 0
     for record in aggregator.latest.values():
         for direction in ("tx", "rx"):
-            for tag, (frames, nbytes) in record["wire"][direction].items():
-                entry = wire_totals.setdefault(tag, [0, 0])
+            for op, (frames, nbytes) in record["wire"][direction].items():
+                entry = wire_totals.setdefault(op, [0, 0])
                 entry[0] += frames
                 entry[1] += nbytes
-                if tag == "P":
-                    fallbacks += frames
     if wire_totals:
         parts = [
-            f"{tag}:{entry[0]:,}f/{_fmt_bytes(entry[1])}"
-            for tag, entry in sorted(wire_totals.items())
+            f"{op}:{entry[0]:,}f/{_fmt_bytes(entry[1])}"
+            for op, entry in sorted(wire_totals.items())
         ]
         lines.append("wire  " + "  ".join(parts))
-        if fallbacks:
-            lines.append(f"      pickle fallbacks: {fallbacks:,} frames")
     return "\n".join(line[:width] for line in lines)
 
 

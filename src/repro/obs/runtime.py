@@ -7,7 +7,7 @@ they spend blocked on the coordinator, and the pipe IPC that dominates
 the 1M-host smoke.  This module is the other clock: every worker (and
 the coordinator) carries a :class:`RuntimeProbe` that samples
 monotonic-clock spans around the epoch loop's phases and counts wire
-frames by type, and a :class:`TelemetryAggregator` in the coordinator
+frames by op, and a :class:`TelemetryAggregator` in the coordinator
 process assembles the per-process records into one cross-process
 wall-clock timeline.
 
@@ -20,8 +20,8 @@ phase               meaning
 ==================  ====================================================
 ``compute``         simulation work (``step``/``drain``/``finish``)
 ``barrier_wait``    blocked on the protocol pipe
-``ipc_send``        encoding + writing protocol frames
-``ipc_recv``        decoding received frames (blocked time is wait)
+``ipc_send``        pickling + writing protocol frames
+``ipc_recv``        unpickling received frames (blocked time is wait)
 ==================  ====================================================
 
 The coordinator's own phases are ``wait``/``place``/``reduce`` (see
@@ -31,10 +31,10 @@ The coordinator's own phases are ``wait``/``place``/``reduce`` (see
 Invariance contract — the reason this file can exist at all: probes
 only ever *read* clocks and count bytes.  No probe call feeds back
 into simulation state, placement, or message content (telemetry
-piggybacks on replies inside a ``T`` envelope that
-:func:`repro.cluster.wire.decode` strips before the protocol sees the
-message).  Every result byte is therefore identical with probes on or
-off — enforced by the telemetry-invariance CI gate.
+rides replies as the records half of the wire frame, and
+:func:`repro.cluster.wire.recv` hands them to the aggregator and
+returns only the message).  Every result byte is therefore identical
+with probes on or off — enforced by the telemetry-invariance CI gate.
 
 Cross-process clock alignment: each probe records one
 ``(time.time(), time.perf_counter())`` pair at birth and stores spans
@@ -64,28 +64,25 @@ PHASES = (
 #: cannot grow a worker's telemetry buffer without bound.  Dropped
 #: spans are counted and reported.
 MAX_PENDING_SPANS = 8192
-MAX_PENDING_INSTANTS = 2048
 
 
 def probes_enabled():
     """Whether runtime probes are on (``REPRO_RUNTIME_PROBES=1``).
 
-    Environment-based so forked/spawned shard workers inherit the
-    decision without a protocol change; the CLI sets it for
-    ``repro top`` and ``repro trace --wallclock``.
+    The CLI's switch: ``repro top`` and ``repro trace --wallclock`` set
+    it.  ``run_sharded_cluster`` reads it once and hands its decision
+    to the forked shard workers as a spawn argument.
     """
     return os.environ.get("REPRO_RUNTIME_PROBES", "") not in ("", "0")
 
 
 class WireStats:
-    """Per-frame-type wire accounting: frames and bytes by tag.
+    """Wire accounting: frames and bytes by protocol op.
 
     One instance per direction pair lives on each probe; updated by
     :func:`repro.cluster.wire.send`/``recv`` when a probe is
-    installed.  The pickle-fallback count is simply the ``P`` row —
-    the wire module's cold path — surfaced separately in records
-    because a hot path regressing to pickle is exactly the kind of
-    drift this plane exists to catch.
+    installed.  Keys are the messages' ops (``step``, ``loads``,
+    ``ok``, ``drain``, ``finish``, ``stop``, ``error``).
     """
 
     __slots__ = ("tx", "rx")
@@ -94,26 +91,26 @@ class WireStats:
         self.tx = {}
         self.rx = {}
 
-    def note_tx(self, tag, nbytes):
-        entry = self.tx.get(tag)
+    def note_tx(self, op, nbytes):
+        entry = self.tx.get(op)
         if entry is None:
-            self.tx[tag] = [1, nbytes]
+            self.tx[op] = [1, nbytes]
         else:
             entry[0] += 1
             entry[1] += nbytes
 
-    def note_rx(self, tag, nbytes):
-        entry = self.rx.get(tag)
+    def note_rx(self, op, nbytes):
+        entry = self.rx.get(op)
         if entry is None:
-            self.rx[tag] = [1, nbytes]
+            self.rx[op] = [1, nbytes]
         else:
             entry[0] += 1
             entry[1] += nbytes
 
     def snapshot(self):
         return {
-            "tx": {tag: list(entry) for tag, entry in self.tx.items()},
-            "rx": {tag: list(entry) for tag, entry in self.rx.items()},
+            "tx": {op: list(entry) for op, entry in self.tx.items()},
+            "rx": {op: list(entry) for op, entry in self.rx.items()},
         }
 
 
@@ -171,15 +168,15 @@ class RuntimeProbe:
     The hot API is ``t0 = probe.begin()`` ... ``probe.lap(phase, t0)``
     — two ``perf_counter`` reads and a couple of dict/list operations
     per span, cheap enough to wrap every epoch-loop phase.  ``flush``
-    packages the cumulative totals plus the spans/instants recorded
-    *since the last flush* into a compact picklable record, so
-    piggybacked telemetry frames stay O(new activity), not O(uptime).
+    packages the cumulative totals plus the spans recorded *since the
+    last flush* into a compact picklable record, so piggybacked
+    telemetry stays O(new activity), not O(uptime).
     """
 
     __slots__ = (
         "ident", "pid", "wall0", "perf0", "phase_s", "phase_n",
         "counters", "gauges", "wire", "hosts",
-        "_spans", "_instants", "_dropped_spans",
+        "_spans", "_dropped_spans",
     )
 
     def __init__(self, ident, hosts=None):
@@ -194,7 +191,6 @@ class RuntimeProbe:
         self.wire = WireStats()
         self.hosts = hosts
         self._spans = []
-        self._instants = []
         self._dropped_spans = 0
 
     def begin(self):
@@ -219,13 +215,6 @@ class RuntimeProbe:
             self._dropped_spans += 1
         return now
 
-    def instant(self, name):
-        """Mark a named point event on this process's timeline."""
-        if len(self._instants) < MAX_PENDING_INSTANTS:
-            self._instants.append(
-                (time.perf_counter() - self.perf0, name)
-            )
-
     def count(self, key, value=1):
         self.counters[key] = self.counters.get(key, 0) + value
 
@@ -247,22 +236,20 @@ class RuntimeProbe:
             "gauges": dict(self.gauges),
             "wire": self.wire.snapshot(),
             "spans": self._spans,
-            "instants": self._instants,
             "dropped_spans": self._dropped_spans,
         }
         if self.hosts is not None:
             record["hosts"] = list(self.hosts)
         self._spans = []
-        self._instants = []
         return record
 
 
 class TelemetryAggregator:
     """Coordinator-side assembly of probe records into one timeline.
 
-    ``ingest`` is the coordinator's ``wire.TELEMETRY_SINK``: called
-    with every batch of records a ``T`` envelope carried.  The latest
-    cumulative scalars are kept per process identity, spans/instants
+    ``ingest`` receives the records every piggybacked reply carries
+    (:func:`repro.cluster.wire.recv` hands them over).  The latest
+    cumulative scalars are kept per process identity, spans
     accumulate (they arrive incrementally), and a short rate history
     ring per identity feeds the live view's epochs/s and bytes/s
     columns.  ``snapshot`` renders the whole thing as a plain
@@ -276,7 +263,6 @@ class TelemetryAggregator:
     def __init__(self):
         self.latest = {}
         self.spans = {}
-        self.instants = {}
         self.history = {}
         self.progress = None
         self.started = time.time()
@@ -302,10 +288,6 @@ class TelemetryAggregator:
             self.latest[ident]["hosts"] = record["hosts"]
         if record["spans"]:
             self.spans.setdefault(ident, []).extend(record["spans"])
-        if record["instants"]:
-            self.instants.setdefault(ident, []).extend(
-                record["instants"]
-            )
         ring = self.history.get(ident)
         if ring is None:
             ring = self.history[ident] = deque(maxlen=self.HISTORY)
@@ -376,10 +358,6 @@ class TelemetryAggregator:
                         list(span)
                         for span in self.spans.get(ident, [])
                     ],
-                    "instants": [
-                        list(mark)
-                        for mark in self.instants.get(ident, [])
-                    ],
                 }
                 for ident in self.idents()
             },
@@ -408,9 +386,10 @@ def get_probe():
 
 #: Module-global aggregator hook: the coordinator registers its
 #: aggregator here so the CLI's live view (which starts before
-#: ``run_sharded_cluster`` is entered) can find it, and the placement
-#: loops can publish progress without threading the object through
-#: every call.  Telemetry-only — never consulted by simulation code.
+#: ``run_sharded_cluster`` is entered) can find it, the placement
+#: loops can publish progress and ``wire.recv`` can hand over
+#: piggybacked records without threading the object through every
+#: call.  Telemetry-only — never consulted by simulation code.
 _AGGREGATOR = None
 
 

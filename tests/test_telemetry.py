@@ -1,18 +1,19 @@
 """Tests for the wall-clock telemetry plane (repro.obs.runtime/live).
 
-Covers the probe/aggregator units, the ``T`` wire envelope, the
-dual-clock exporter's shape contract (required keys, monotonic
-timestamps per track, pid/tid uniqueness, both clocks, across shard
-counts), the ``repro top`` renderer, the perf-report ``--compare``
-gate, and the invariance contract: probes on vs off must produce
-identical summaries, and ``LAST_TRACE`` must survive every shard
-count.
+Covers the probe/aggregator units, telemetry piggybacked on wire
+frames and the per-op wire accounting, the dual-clock exporter's shape
+contract (required keys, monotonic timestamps per track, pid/tid
+uniqueness, both clocks, across shard counts), the ``repro top``
+renderer, the perf-report ``--compare`` gate, and the invariance
+contract: probes on vs off must produce identical summaries, and
+``LAST_TRACE`` must survive every shard count.
 """
 
 import json
 import multiprocessing
 import os
 import pathlib
+import pickle
 import sys
 
 import pytest
@@ -21,10 +22,10 @@ from repro.cluster import wire
 from repro.cluster.churn import run_cluster_cell
 from repro.experiments import parallel
 from repro.experiments.parallel import Cell, run_cell
+from repro.obs import runtime
 from repro.obs.export import to_dual_clock_trace, write_dual_clock_trace
 from repro.obs.live import LiveView, _fmt_bytes, _fmt_eta, render
 from repro.obs.runtime import (
-    MAX_PENDING_INSTANTS,
     CollectorMeter,
     MAX_PENDING_SPANS,
     PHASES,
@@ -64,20 +65,18 @@ def test_probe_lap_accumulates_and_chains():
 def test_probe_flush_is_incremental():
     probe = RuntimeProbe("worker-1", hosts=[[0, 4]])
     probe.lap("compute", probe.begin())
-    probe.instant("rollback")
-    probe.count("rollbacks")
+    probe.count("epochs")
     probe.gauge("frontier_epoch", 7)
     first = probe.flush()
     assert first["ident"] == "worker-1"
     assert first["hosts"] == [[0, 4]]
     assert len(first["spans"]) == 1
-    assert [name for _rel, name in first["instants"]] == ["rollback"]
-    assert first["counters"] == {"rollbacks": 1}
+    assert first["counters"] == {"epochs": 1}
     assert first["gauges"] == {"frontier_epoch": 7}
-    # spans/instants drain; cumulative scalars persist
+    # spans drain; cumulative scalars persist
     second = probe.flush()
-    assert second["spans"] == [] and second["instants"] == []
-    assert second["counters"] == {"rollbacks": 1}
+    assert second["spans"] == []
+    assert second["counters"] == {"epochs": 1}
     assert second["phases"]["compute"][1] == 1
 
 
@@ -91,19 +90,16 @@ def test_probe_span_buffer_bounded():
     assert record["dropped_spans"] == 10
     # totals stay exact even when spans drop
     assert record["phases"]["compute"][1] == MAX_PENDING_SPANS + 10
-    for _ in range(MAX_PENDING_INSTANTS + 5):
-        probe.instant("rollback")
-    assert len(probe.flush()["instants"]) == MAX_PENDING_INSTANTS
 
 
 def test_wire_stats_accounting():
     stats = WireStats()
-    stats.note_tx("S", 10)
-    stats.note_tx("S", 30)
-    stats.note_rx("L", 7)
+    stats.note_tx("step", 10)
+    stats.note_tx("step", 30)
+    stats.note_rx("loads", 7)
     snap = stats.snapshot()
-    assert snap["tx"] == {"S": [2, 40]}
-    assert snap["rx"] == {"L": [1, 7]}
+    assert snap["tx"] == {"step": [2, 40]}
+    assert snap["rx"] == {"loads": [1, 7]}
 
 
 def test_collector_meter_counts_collections_per_generation():
@@ -127,13 +123,12 @@ def test_collector_meter_counts_collections_per_generation():
 # ----------------------------------------------------------------------
 # aggregator
 # ----------------------------------------------------------------------
-def _record(ident, wall0=100.0, epochs=0, rollbacks=0, **extra):
+def _record(ident, wall0=100.0, epochs=0, **extra):
     record = {
         "ident": ident, "pid": 1234, "wall0": wall0, "up_s": 1.0,
-        "phases": {}, "counters": {"epochs": epochs,
-                                   "rollbacks": rollbacks},
+        "phases": {}, "counters": {"epochs": epochs},
         "gauges": {}, "wire": {"tx": {}, "rx": {}},
-        "spans": [], "instants": [], "dropped_spans": 0,
+        "spans": [], "dropped_spans": 0,
     }
     record.update(extra)
     return record
@@ -155,13 +150,11 @@ def test_aggregator_keeps_latest_and_accumulates_spans():
     agg.ingest([_record("worker-0", epochs=1,
                         spans=[("compute", 0.0, 0.5)])])
     agg.ingest([_record("worker-0", epochs=2,
-                        spans=[("compute", 0.5, 0.9)],
-                        instants=[(0.7, "rollback")])])
+                        spans=[("compute", 0.5, 0.9)])])
     snap = agg.snapshot()
     record = snap["processes"]["worker-0"]
     assert record["counters"]["epochs"] == 2
     assert len(record["spans"]) == 2
-    assert record["instants"] == [[0.7, "rollback"]]
     assert json.loads(json.dumps(snap))  # plain JSON-able
 
 
@@ -186,79 +179,86 @@ def test_aggregator_progress_and_rates():
 
 
 # ----------------------------------------------------------------------
-# the T wire envelope
+# telemetry on the wire
 # ----------------------------------------------------------------------
-def test_telemetry_envelope_roundtrip():
-    parent, child = multiprocessing.Pipe()
+def _send_piggybacked(conn, message):
+    """Send ``message`` as a probed worker's upward reply."""
     probe = RuntimeProbe("worker-0")
     probe.lap("compute", probe.begin())
-    sink_batches = []
-    wire.set_probe(probe)
+    runtime.set_probe(probe)
     try:
-        wire.send(parent, ("loads", [(3, 2)]), piggyback=True)
+        wire.send(conn, message, piggyback=True)
     finally:
-        wire.set_probe(None)
-    wire.set_telemetry_sink(sink_batches.append)
+        runtime.set_probe(None)
+
+
+def test_piggybacked_records_reach_the_aggregator():
+    parent, child = multiprocessing.Pipe()
+    aggregator = TelemetryAggregator()
     try:
+        _send_piggybacked(parent, ("loads", [(3, 2)]))
+        runtime.set_aggregator(aggregator)
         message = wire.recv(child)
     finally:
-        wire.set_telemetry_sink(None)
-    parent.close(), child.close()
-    # the protocol message survives the envelope untouched
+        runtime.set_aggregator(None)
+        parent.close(), child.close()
+    # the protocol sees exactly the message, no telemetry ...
     assert message == ("loads", [(3, 2)])
-    # ... and the probe record rode along
-    assert len(sink_batches) == 1
-    records = sink_batches[0]
-    assert records[-1]["ident"] == "worker-0"
-    assert "compute" in records[-1]["phases"]
+    # ... and the worker's probe record reached the aggregator
+    assert list(aggregator.latest) == ["worker-0"]
+    assert "compute" in aggregator.latest["worker-0"]["phases"]
 
 
-def test_telemetry_envelope_without_sink_still_decodes():
+def test_piggybacked_reply_arrives_without_an_aggregator():
     parent, child = multiprocessing.Pipe()
-    wire.set_probe(RuntimeProbe("worker-0"))
     try:
-        wire.send(parent, ("ok", None), piggyback=True)
+        _send_piggybacked(parent, ("ok", None))
+        assert wire.recv(child) == ("ok", None)
     finally:
-        wire.set_probe(None)
-    assert wire.recv(child) == ("ok", None)
-    parent.close(), child.close()
+        parent.close(), child.close()
 
 
-def test_plain_send_has_no_envelope():
+def test_plain_send_carries_no_records():
     parent, child = multiprocessing.Pipe()
-    wire.send(parent, ("step", 0.0, 2.5, {}))
-    raw = child.recv_bytes()
-    assert raw[:1] == b"S"
-    assert wire.decode(raw) == ("step", 0.0, 2.5, {})
-    parent.close(), child.close()
+    probe = RuntimeProbe("coordinator")
+    runtime.set_probe(probe)
+    try:
+        wire.send(parent, ("step", 0.0, 2.5, {}))
+        raw = child.recv_bytes()
+    finally:
+        runtime.set_probe(None)
+        parent.close(), child.close()
+    # a downward frame: the message and no records, probe or not
+    assert pickle.loads(raw) == (("step", 0.0, 2.5, {}), None)
 
 
-def test_send_accounts_frames_by_inner_tag():
+def test_send_accounts_frames_by_op():
     parent, child = multiprocessing.Pipe()
     probe = RuntimeProbe("worker-0")
-    wire.set_probe(probe)
+    runtime.set_probe(probe)
     try:
-        wire.send(parent, ("ok", None), piggyback=True)
+        wire.send(parent, ("loads", [(3, 2)]), piggyback=True)
         wire.recv(child)
     finally:
-        wire.set_probe(None)
-    parent.close(), child.close()
-    # accounted under the *inner* frame's tag ("K"), never "T"
-    assert set(probe.wire.tx) == {"K"}
-    assert set(probe.wire.rx) == {"K"}
-    assert probe.phase_n.get("ipc_send", 0) == 1
-    assert probe.phase_n.get("ipc_recv", 0) == 1
+        runtime.set_probe(None)
+        parent.close(), child.close()
+    # one frame each way, keyed by op; both ends count the same bytes
+    assert probe.wire.tx == probe.wire.rx
+    assert list(probe.wire.tx) == ["loads"]
+    frames, nbytes = probe.wire.tx["loads"]
+    assert frames == 1 and nbytes > 0
+    assert probe.phase_n["ipc_send"] == 1
+    assert probe.phase_n["ipc_recv"] == 1
 
 
 # ----------------------------------------------------------------------
 # dual-clock exporter shape (both clocks, shards 1 vs 4)
 # ----------------------------------------------------------------------
-def _dual_clock_case(shards, sync):
+def _dual_clock_case(shards):
     telemetry = {}
     trace = {}
     run_cluster_cell("fastiov", 24, hosts=8, seed=3, shards=shards,
-                     rate_per_s=6.0, sync=sync, telemetry=telemetry,
-                     trace=trace)
+                     rate_per_s=6.0, telemetry=telemetry, trace=trace)
     return to_dual_clock_trace(telemetry, bundle=trace)
 
 
@@ -306,13 +306,9 @@ def _assert_trace_shape(doc, expect_processes):
     return pids, threads
 
 
-@pytest.mark.parametrize("shards,sync,expect", [
-    (1, "conservative", 1),
-    (4, "conservative", 5),
-    (4, "optimistic", 5),
-])
-def test_dual_clock_trace_shape(shards, sync, expect):
-    doc = _dual_clock_case(shards, sync)
+@pytest.mark.parametrize("shards,expect", [(1, 1), (4, 5)])
+def test_dual_clock_trace_shape(shards, expect):
+    doc = _dual_clock_case(shards)
     pids, threads = _assert_trace_shape(doc, expect)
     if shards > 1:
         workers = [n for n in pids.values() if n.startswith("worker")]
@@ -327,8 +323,7 @@ def test_dual_clock_trace_shape(shards, sync, expect):
 def test_dual_clock_trace_without_bundle():
     telemetry = {}
     run_cluster_cell("fastiov", 24, hosts=8, seed=3, shards=4,
-                     rate_per_s=6.0, sync="optimistic",
-                     telemetry=telemetry)
+                     rate_per_s=6.0, telemetry=telemetry)
     doc = to_dual_clock_trace(telemetry)
     names = {e["args"]["name"] for e in doc["traceEvents"]
              if e["ph"] == "M" and e["name"] == "thread_name"}
@@ -354,11 +349,9 @@ def test_write_dual_clock_trace_deterministic_json(tmp_path):
 # ----------------------------------------------------------------------
 # invariance: probes must never change results
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sync,shards", [("optimistic", 4),
-                                         ("hierarchical", 8)])
-def test_probe_invariance(monkeypatch, sync, shards):
-    kwargs = dict(hosts=16, seed=5, shards=shards, rate_per_s=6.0,
-                  sync=sync)
+@pytest.mark.parametrize("shards", [4, 8])
+def test_probe_invariance(monkeypatch, shards):
+    kwargs = dict(hosts=16, seed=5, shards=shards, rate_per_s=6.0)
     monkeypatch.delenv("REPRO_RUNTIME_PROBES", raising=False)
     plain = run_cluster_cell("fastiov", 48, **kwargs)
     monkeypatch.setenv("REPRO_RUNTIME_PROBES", "1")
@@ -367,8 +360,7 @@ def test_probe_invariance(monkeypatch, sync, shards):
 
 
 def test_telemetry_param_does_not_change_summary():
-    kwargs = dict(hosts=4, seed=2, shards=2, rate_per_s=6.0,
-                  sync="conservative")
+    kwargs = dict(hosts=4, seed=2, shards=2, rate_per_s=6.0)
     plain = run_cluster_cell("fastiov", 24, **kwargs)
     telemetry = {}
     probed = run_cluster_cell("fastiov", 24, telemetry=telemetry,
@@ -387,6 +379,17 @@ def test_single_process_telemetry():
     assert telemetry["shards"] == 1
     record = telemetry["processes"]["main"]
     assert record["phases"]["compute"][1] >= 1
+
+
+def test_round_robin_notes_progress():
+    """Round-robin places every arrival up front; ``repro top`` must
+    see that as progress, like a least-loaded walk's final note."""
+    for placement in ("round-robin", "least-loaded"):
+        telemetry = {}
+        run_cluster_cell("fastiov", 24, hosts=8, seed=3, shards=2,
+                         rate_per_s=6.0, placement=placement,
+                         telemetry=telemetry)
+        assert telemetry["progress"][:2] == [24, 24], placement
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +433,9 @@ def test_render_layout():
     agg.note_progress(50, 100, 4)
     agg.ingest([
         _record("coordinator", wall0=100.0),
-        _record("worker-0", wall0=100.5, epochs=12, rollbacks=3,
-                wire={"tx": {"A": [12, 1200]}, "rx": {"S": [12, 5000]}},
+        _record("worker-0", wall0=100.5, epochs=12,
+                wire={"tx": {"loads": [12, 1200]},
+                      "rx": {"step": [12, 5000]}},
                 phases={"compute": [0.6, 12], "barrier_wait": [0.2, 12]}),
     ])
     text = render(agg, now=101.0, eta_s=30.0)
@@ -444,6 +448,17 @@ def test_render_layout():
 
 def test_render_empty_aggregator():
     assert "waiting" in render(TelemetryAggregator()).lower()
+
+
+def test_render_records_without_progress():
+    """A single-process cell has records but never notes progress: the
+    header shows the elapsed time, not "waiting for telemetry"."""
+    agg = TelemetryAggregator()
+    agg.ingest([_record("main", phases={"compute": [0.9, 1]})])
+    text = render(agg, now=agg.started + 2.0)
+    header = text.splitlines()[0]
+    assert "2.0s elapsed" in header and "waiting" not in text.lower()
+    assert "main" in text
 
 
 def test_live_view_thread_lifecycle():
